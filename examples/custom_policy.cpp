@@ -17,47 +17,24 @@ using namespace psched;
 /// Widest-first aggressive backfilling: the queue is ordered by descending
 /// node count (ties FCFS); the head holds a reservation, everyone else may
 /// backfill around it. A deliberately wide-job-friendly strawman.
+///
+/// The Scheduler base class keeps the wait queue (on_submit/on_complete need
+/// no override) and runs the backfill pass, so a policy that only changes
+/// the queue order is one sort plus one backfill() call.
 class WidestFirstScheduler final : public Scheduler {
  public:
   std::string name() const override { return "widest-first-easy"; }
 
-  void on_submit(JobId id) override { waiting_.push_back(id); }
-  void on_complete(JobId) override {}
-
   void collect_starts(std::vector<JobId>& starts) override {
-    wakeup_.reset();
-    if (waiting_.empty()) return;
-    const Time now = ctx().now();
-    NodeCount free = ctx().free_nodes();
-    Profile profile(ctx().total_nodes(), now);
-    add_running_to_profile(profile);
-
-    std::sort(waiting_.begin(), waiting_.end(), [&](JobId a, JobId b) {
+    std::vector<JobId> order = waiting();
+    std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
       const Job& ja = ctx().job(a);
       const Job& jb = ctx().job(b);
       if (ja.nodes != jb.nodes) return ja.nodes > jb.nodes;
       return ja.submit != jb.submit ? ja.submit < jb.submit : a < b;
     });
-
-    std::vector<JobId> keep;
-    bool reserved = false;
-    for (const JobId id : waiting_) {
-      const Job& job = ctx().job(id);
-      if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-        starts.push_back(id);
-        profile.add_usage(now, now + job.wcl, job.nodes);
-        free -= job.nodes;
-        continue;
-      }
-      if (!reserved) {  // head reservation for the widest blocked job
-        const Time at = profile.earliest_fit(now, job.wcl, job.nodes);
-        profile.add_usage(at, at + job.wcl, job.nodes);
-        wakeup_ = at;
-        reserved = true;
-      }
-      keep.push_back(id);
-    }
-    waiting_ = std::move(keep);
+    // Depth 1: only the widest blocked job pins a reservation (EASY-style).
+    wakeup_ = backfill(order, order.size(), /*depth=*/1, starts);
   }
 
   std::optional<Time> next_wakeup() const override { return wakeup_; }
@@ -68,7 +45,6 @@ class WidestFirstScheduler final : public Scheduler {
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
  private:
-  std::vector<JobId> waiting_;
   std::optional<Time> wakeup_;
 };
 

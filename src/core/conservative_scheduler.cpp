@@ -17,7 +17,7 @@ std::string ConservativeScheduler::name() const {
 }
 
 void ConservativeScheduler::on_submit(JobId id) {
-  waiting_.push_back(id);
+  Scheduler::on_submit(id);
   reservations_.emplace(id, kNoTime);
   pending_arrivals_.push_back(id);
 }
@@ -47,7 +47,7 @@ void ConservativeScheduler::seed_running_usage(Time now) {
 void ConservativeScheduler::compression_pass(Time now) {
   Profile& plan = *plan_;
   bool moved = false;
-  priority_order_ = sorted_by_priority(waiting_, config_.priority);
+  priority_order_ = waiting_by_priority(config_.priority);
   order_fresh_ = true;
   for (const JobId id : priority_order_) {
     const Job& job = ctx().job(id);
@@ -70,7 +70,7 @@ void ConservativeScheduler::full_replan(Time now) {
 
   if (config_.dynamic_reservations) {
     // Plan from scratch in priority order at every event.
-    last_order_ = sorted_by_priority(waiting_, config_.priority);
+    last_order_ = waiting_by_priority(config_.priority);
     for (const JobId id : last_order_) {
       const Job& job = ctx().job(id);
       const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
@@ -81,7 +81,7 @@ void ConservativeScheduler::full_replan(Time now) {
     // Static conservative. Pass 1: re-seat stored reservations in stored-start
     // order; a slot only moves later if an over-running job broke it. Brand-new
     // arrivals (kNoTime) are seated last so they cannot delay anyone.
-    std::vector<JobId> seat_order = waiting_;
+    std::vector<JobId> seat_order = waiting();
     std::sort(seat_order.begin(), seat_order.end(), [&](JobId a, JobId b) {
       const Time ra = reservations_.at(a);
       const Time rb = reservations_.at(b);
@@ -136,7 +136,7 @@ bool ConservativeScheduler::incremental_replan(Time now) {
     // the order the current plan was built in. Jobs launched since remain in
     // the plan as running usage over exactly their reservation interval, so
     // eliding them keeps the planning prefix byte-identical.
-    std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
+    std::vector<JobId> order = waiting_by_priority(config_.priority);
     std::vector<JobId> previous;
     previous.reserve(last_order_.size());
     for (const JobId id : last_order_)
@@ -211,7 +211,7 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   if (config_.dynamic_reservations) {
     priority_order_ = last_order_;
   } else if (!order_fresh_) {
-    priority_order_ = sorted_by_priority(waiting_, config_.priority);
+    priority_order_ = waiting_by_priority(config_.priority);
   }
   NodeCount free = ctx().free_nodes();
   std::optional<Time> wake;
@@ -224,7 +224,6 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
       starts.push_back(id);
       free -= job.nodes;
       reservations_.erase(id);
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
       if (start == now) {
         // The launched job's reservation usage [now, now + wcl) stays in the
         // plan as its running usage (est_end == now + wcl).
@@ -236,6 +235,7 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
       wake = start;
     }
   }
+  dequeue(starts);
   wakeup_ = wake;
 }
 

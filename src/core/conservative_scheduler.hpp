@@ -85,7 +85,6 @@ class ConservativeScheduler final : public Scheduler {
   void compression_pass(Time now);
 
   ConservativeConfig config_;
-  std::vector<JobId> waiting_;
   std::unordered_map<JobId, Time> reservations_;  // stored starts (kNoTime = new)
   std::optional<Time> wakeup_;
 
@@ -103,10 +102,10 @@ class ConservativeScheduler final : public Scheduler {
   bool compress_active_ = false;
   /// Dynamic mode: priority order the current plan was built in.
   std::vector<JobId> last_order_;
-  /// Scratch: priority order of waiting_ computed during this event's
+  /// Scratch: priority order of the wait queue computed during this event's
   /// replan (compression pass), reusable by the launch loop.
   std::vector<JobId> priority_order_;
-  bool order_fresh_ = false;  ///< priority_order_ matches waiting_ right now
+  bool order_fresh_ = false;  ///< priority_order_ matches waiting() right now
 };
 
 }  // namespace psched

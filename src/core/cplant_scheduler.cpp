@@ -4,6 +4,14 @@
 
 namespace psched {
 
+namespace {
+
+/// How often barred jobs are re-tested for starvation-queue entry when no
+/// other event fires.
+constexpr Time kHeavyRecheckInterval = hours(1);
+
+}  // namespace
+
 CplantScheduler::CplantScheduler(CplantConfig config) : config_(config) {}
 
 std::string CplantScheduler::name() const {
@@ -12,10 +20,6 @@ std::string CplantScheduler::name() const {
   n += config_.bar_heavy_users ? ".fair" : ".all";
   return n;
 }
-
-void CplantScheduler::on_submit(JobId id) { waiting_.push_back(id); }
-
-void CplantScheduler::on_complete(JobId) {}
 
 bool CplantScheduler::user_is_heavy(UserId user) const {
   const double mean = ctx().mean_positive_usage();
@@ -27,7 +31,7 @@ void CplantScheduler::promote_starving_jobs() {
   if (!starvation_enabled()) return;
   const Time now = ctx().now();
   std::vector<JobId> eligible;
-  for (const JobId id : waiting_) {
+  for (const JobId id : waiting()) {
     const Job& job = ctx().job(id);
     if (now - job.submit < config_.starvation_delay) continue;
     if (config_.bar_heavy_users && user_is_heavy(job.user)) continue;
@@ -39,79 +43,28 @@ void CplantScheduler::promote_starving_jobs() {
     const Job& jb = ctx().job(b);
     return ja.submit != jb.submit ? ja.submit < jb.submit : a < b;
   });
-  for (const JobId id : eligible) {
-    starve_.push_back(id);
-    waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-  }
+  starve_.insert(starve_.end(), eligible.begin(), eligible.end());
+  dequeue(eligible);
 }
 
 void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
-  wakeup_.reset();
   promote_starving_jobs();
-
   const Time now = ctx().now();
-  NodeCount free = ctx().free_nodes();
-  Profile& profile = scratch_profile(now);
-  add_running_to_profile(profile);
 
-  std::optional<Time> head_reservation;
-
-  // Starvation queue first, FCFS: start heads while they fit; the first head
-  // that does not fit pins the (single) internal reservation.
-  while (!starve_.empty()) {
-    const Job& head = ctx().job(starve_.front());
-    if (head.nodes <= free && profile.fits_at(now, head.wcl, head.nodes)) {
-      starts.push_back(head.id);
-      profile.add_usage(now, now + head.wcl, head.nodes);
-      free -= head.nodes;
-      starve_.pop_front();
-      continue;
-    }
-    const Time reserve_at = profile.earliest_fit(now, head.wcl, head.nodes);
-    profile.add_usage(reserve_at, reserve_at + head.wcl, head.nodes);
-    head_reservation = reserve_at;
-    break;
-  }
-
-  // Remaining starvation-queue jobs may still start if they respect the head
-  // reservation, then the main queue in fairshare (or configured) order.
-  auto try_start = [&](JobId id) {
-    const Job& job = ctx().job(id);
-    if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-      starts.push_back(id);
-      profile.add_usage(now, now + job.wcl, job.nodes);
-      free -= job.nodes;
-      return true;
-    }
-    return false;
-  };
-
-  if (!starve_.empty()) {
-    std::deque<JobId> still_starving;
-    bool first = true;
-    for (const JobId id : starve_) {
-      // The blocked head stays put (its reservation is already in the profile).
-      if (first) {
-        still_starving.push_back(id);
-        first = false;
-        continue;
-      }
-      if (!try_start(id)) still_starving.push_back(id);
-    }
-    starve_ = std::move(still_starving);
-  }
-
-  std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
-  for (const JobId id : order) {
-    if (try_start(id)) waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-  }
+  // One backfill pass over the starvation queue (FCFS) followed by the main
+  // queue (configured priority). Only the starvation queue may reserve, and
+  // only once: its first job that does not fit pins the single internal
+  // reservation; every other job starts only if it respects it.
+  std::vector<JobId> order = waiting_by_priority(config_.priority);
+  order.insert(order.begin(), starve_.begin(), starve_.end());
+  std::optional<Time> wake = backfill(order, starve_.size(), 1, starts);
+  erase_ids(starve_, starts);
 
   // Timers: the head reservation, the next starvation-eligibility instant,
   // and (with the heavy-user bar) a periodic recheck for barred jobs.
-  std::optional<Time> wake = head_reservation;
   if (starvation_enabled()) {
     bool any_barred_now = false;
-    for (const JobId id : waiting_) {
+    for (const JobId id : waiting()) {
       const Time eligible_at = ctx().job(id).submit + config_.starvation_delay;
       if (eligible_at > now) {
         if (!wake || eligible_at < *wake) wake = eligible_at;
@@ -120,13 +73,11 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
       }
     }
     if (any_barred_now) {
-      const Time recheck = now + config_.heavy_recheck_interval;
+      const Time recheck = now + kHeavyRecheckInterval;
       if (!wake || recheck < *wake) wake = recheck;
     }
   }
   wakeup_ = wake;
 }
-
-std::optional<Time> CplantScheduler::next_wakeup() const { return wakeup_; }
 
 }  // namespace psched

@@ -27,8 +27,6 @@ struct CplantConfig {
   Time starvation_delay = hours(24);
   bool bar_heavy_users = false;
   double heavy_user_factor = 1.0;
-  /// How often to re-test barred jobs for entry when no other event fires.
-  Time heavy_recheck_interval = hours(1);
 };
 
 class CplantScheduler final : public Scheduler {
@@ -36,10 +34,8 @@ class CplantScheduler final : public Scheduler {
   explicit CplantScheduler(CplantConfig config);
 
   std::string name() const override;
-  void on_submit(JobId id) override;
-  void on_complete(JobId id) override;
   void collect_starts(std::vector<JobId>& starts) override;
-  std::optional<Time> next_wakeup() const override;
+  std::optional<Time> next_wakeup() const override { return wakeup_; }
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
   const CplantConfig& config() const { return config_; }
@@ -52,8 +48,8 @@ class CplantScheduler final : public Scheduler {
   void promote_starving_jobs();
 
   CplantConfig config_;
-  std::vector<JobId> waiting_;  // main queue (unordered; sorted per decision)
-  std::deque<JobId> starve_;    // starvation queue, FCFS by submit
+  std::deque<JobId> starve_;  // starvation queue, FCFS by promotion; the base
+                              // wait queue is the main queue
   std::optional<Time> wakeup_;
 };
 

@@ -1,6 +1,5 @@
 #include "core/depth_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace psched {
@@ -16,49 +15,9 @@ std::string DepthScheduler::name() const {
   return n;
 }
 
-void DepthScheduler::on_submit(JobId id) { waiting_.push_back(id); }
-
-void DepthScheduler::on_complete(JobId) {}
-
 void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
-  wakeup_.reset();
-  if (waiting_.empty()) return;
-
-  const Time now = ctx().now();
-  NodeCount free = ctx().free_nodes();
-  Profile& profile = scratch_profile(now);
-  add_running_to_profile(profile);
-
-  const std::vector<JobId> order = sorted_by_priority(waiting_, config_.priority);
-  std::vector<JobId> started;
-  std::optional<Time> earliest_reservation;
-  int reserved = 0;
-
-  for (const JobId id : order) {
-    const Job& job = ctx().job(id);
-    // Anyone may start if it fits and violates no reservation made so far.
-    if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
-      starts.push_back(id);
-      started.push_back(id);
-      profile.add_usage(now, now + job.wcl, job.nodes);
-      free -= job.nodes;
-      continue;
-    }
-    // Blocked: the first `depth` blocked jobs (in priority order) pin
-    // reservations that later jobs must respect.
-    if (reserved < config_.reservation_depth) {
-      const Time at = profile.earliest_fit(now, job.wcl, job.nodes);
-      profile.add_usage(at, at + job.wcl, job.nodes);
-      if (!earliest_reservation || at < *earliest_reservation) earliest_reservation = at;
-      ++reserved;
-    }
-  }
-
-  for (const JobId id : started)
-    waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-  wakeup_ = earliest_reservation;
+  const std::vector<JobId> order = waiting_by_priority(config_.priority);
+  wakeup_ = backfill(order, order.size(), config_.reservation_depth, starts);
 }
-
-std::optional<Time> DepthScheduler::next_wakeup() const { return wakeup_; }
 
 }  // namespace psched

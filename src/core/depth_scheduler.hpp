@@ -5,9 +5,10 @@
 //
 // At every scheduling event the first `depth` jobs in priority order receive
 // reservations (computed in that order); any other job may start immediately
-// if it violates none of them. depth == 1 behaves like EASY; depth large
-// enough to cover the queue approaches conservative-with-dynamic-reservations
-// (reservations are replanned every event, not sticky).
+// if it violates none of them. depth == 1 is EASY / aggressive backfilling
+// (PolicyKind::Easy builds exactly this scheduler); a depth large enough to
+// cover the queue matches conservative-with-dynamic-reservations record for
+// record (reservations are replanned every event, not sticky).
 
 #include <optional>
 
@@ -25,18 +26,15 @@ class DepthScheduler final : public Scheduler {
   explicit DepthScheduler(DepthConfig config);
 
   std::string name() const override;
-  void on_submit(JobId id) override;
-  void on_complete(JobId id) override;
   void collect_starts(std::vector<JobId>& starts) override;
-  std::optional<Time> next_wakeup() const override;
+  std::optional<Time> next_wakeup() const override { return wakeup_; }
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
   const DepthConfig& config() const { return config_; }
 
  private:
   DepthConfig config_;
-  std::vector<JobId> waiting_;
-  std::optional<Time> wakeup_;
+  std::optional<Time> wakeup_;  ///< earliest reservation of the last pass
 };
 
 }  // namespace psched

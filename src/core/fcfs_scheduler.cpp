@@ -1,7 +1,5 @@
 #include "core/fcfs_scheduler.hpp"
 
-#include <algorithm>
-
 namespace psched {
 
 FcfsScheduler::FcfsScheduler(PriorityKind priority) : priority_(priority) {}
@@ -10,25 +8,15 @@ std::string FcfsScheduler::name() const {
   return priority_ == PriorityKind::Fcfs ? "fcfs" : "fcfs.fairshare";
 }
 
-void FcfsScheduler::on_submit(JobId id) { waiting_.push_back(id); }
-
-void FcfsScheduler::on_complete(JobId) {}
-
 void FcfsScheduler::collect_starts(std::vector<JobId>& starts) {
   NodeCount free = ctx().free_nodes();
-  std::vector<JobId> order = sorted_by_priority(waiting_, priority_);
-  std::size_t started = 0;
-  for (const JobId id : order) {
+  for (const JobId id : waiting_by_priority(priority_)) {
     const Job& job = ctx().job(id);
     if (job.nodes > free) break;  // strict: the head blocks everyone behind it
     starts.push_back(id);
     free -= job.nodes;
-    ++started;
   }
-  if (started > 0) {
-    for (std::size_t i = 0; i < started; ++i)
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), order[i]));
-  }
+  dequeue(starts);
 }
 
 }  // namespace psched

@@ -4,8 +4,6 @@
 // nodes are idle. "Fair" in arrival order but poor utilization — the paper's
 // motivating strawman and a useful lower bound in tests.
 
-#include <deque>
-
 #include "core/scheduler.hpp"
 
 namespace psched {
@@ -17,14 +15,11 @@ class FcfsScheduler final : public Scheduler {
   explicit FcfsScheduler(PriorityKind priority = PriorityKind::Fcfs);
 
   std::string name() const override;
-  void on_submit(JobId id) override;
-  void on_complete(JobId id) override;
   void collect_starts(std::vector<JobId>& starts) override;
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
  private:
   PriorityKind priority_;
-  std::vector<JobId> waiting_;
 };
 
 }  // namespace psched

@@ -7,7 +7,6 @@
 #include "core/conservative_scheduler.hpp"
 #include "core/cplant_scheduler.hpp"
 #include "core/depth_scheduler.hpp"
-#include "core/easy_scheduler.hpp"
 #include "core/fcfs_scheduler.hpp"
 
 namespace psched {
@@ -65,14 +64,10 @@ std::unique_ptr<Scheduler> make_scheduler(const PolicyConfig& config) {
   switch (config.kind) {
     case PolicyKind::Fcfs:
       return std::make_unique<FcfsScheduler>(config.priority);
-    case PolicyKind::Easy:
-      return std::make_unique<EasyScheduler>(config.priority);
-    case PolicyKind::Depth: {
-      DepthConfig c;
-      c.priority = config.priority;
-      c.reservation_depth = config.reservation_depth;
-      return std::make_unique<DepthScheduler>(c);
-    }
+    case PolicyKind::Easy:  // EASY is reservation depth 1
+    case PolicyKind::Depth:
+      return std::make_unique<DepthScheduler>(DepthConfig{
+          config.priority, config.kind == PolicyKind::Easy ? 1 : config.reservation_depth});
     case PolicyKind::Cplant: {
       CplantConfig c;
       c.priority = config.priority;

@@ -17,7 +17,7 @@ namespace psched {
 enum class PolicyKind {
   Fcfs,                 ///< strict queue, no backfilling
   Cplant,               ///< no-guarantee backfill + starvation queue
-  Easy,                 ///< aggressive backfilling (head reservation)
+  Easy,                 ///< aggressive backfilling: built as Depth at depth 1
   Depth,                ///< first-n-jobs reservations (between EASY and cons)
   Conservative,         ///< reservation for every job
   ConservativeDynamic,  ///< conservative, reservations replanned every event

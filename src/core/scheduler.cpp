@@ -44,6 +44,33 @@ std::vector<JobId> Scheduler::sorted_by_priority(std::vector<JobId> ids, Priorit
   return ids;
 }
 
+std::optional<Time> Scheduler::backfill(std::span<const JobId> order, std::size_t reservable,
+                                        int depth, std::vector<JobId>& starts) {
+  if (order.empty()) return std::nullopt;
+  const Time now = ctx().now();
+  NodeCount free = ctx().free_nodes();
+  Profile& profile = scratch_profile(now);
+  add_running_to_profile(profile);
+
+  std::optional<Time> earliest_reservation;
+  int reserved = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Job& job = ctx().job(order[i]);
+    if (job.nodes <= free && profile.fits_at(now, job.wcl, job.nodes)) {
+      starts.push_back(order[i]);
+      profile.add_usage(now, now + job.wcl, job.nodes);
+      free -= job.nodes;
+    } else if (i < reservable && reserved < depth) {
+      const Time at = profile.earliest_fit(now, job.wcl, job.nodes);
+      profile.add_usage(at, at + job.wcl, job.nodes);
+      if (!earliest_reservation || at < *earliest_reservation) earliest_reservation = at;
+      ++reserved;
+    }
+  }
+  dequeue(starts);
+  return earliest_reservation;
+}
+
 Time Scheduler::assumed_running_end(const RunningView& r, Time now) {
   // A job past its estimated end is assumed to keep running for as long as
   // it has already over-run (at least kOverrunGrace). The growing horizon

@@ -4,9 +4,18 @@
 // loop; a Scheduler observes submissions/completions and answers two
 // questions at every scheduling event: "which waiting jobs start right now?"
 // and "when do you next need to act without an external event?".
+//
+// The base class also carries what every built-in policy shares: the wait
+// queue (submitted ids, their priority order, one-pass removal of started
+// jobs) and the backfill pass ("start it if it fits now, otherwise pin a
+// reservation while under depth"). EASY is that pass at depth 1, reservation
+// depth n is the same pass at depth n, and CPlant runs it over its
+// starvation queue followed by its main queue.
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,17 +65,20 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  /// A job entered the wait queue at ctx().now().
-  virtual void on_submit(JobId id) = 0;
+  /// A job entered the wait queue at ctx().now(). The base appends it to
+  /// the shared wait queue; an override that keeps per-job state of its own
+  /// calls Scheduler::on_submit too.
+  virtual void on_submit(JobId id) { waiting_.push_back(id); }
 
   /// A running job completed (its nodes are already back in the free pool).
-  virtual void on_complete(JobId id) = 0;
+  /// The base has nothing to do.
+  virtual void on_complete(JobId /*id*/) {}
 
   /// Append jobs to launch *now*, in launch order. The engine launches them
   /// in exactly that order and errors out on infeasible requests, so the
   /// scheduler must account for its own picks within one call (free nodes
   /// are not refreshed until the call returns). Implementations remove
-  /// emitted jobs from their own queues.
+  /// emitted jobs from the wait queue (dequeue(); backfill() does it).
   virtual void collect_starts(std::vector<JobId>& starts) = 0;
 
   /// Next time the scheduler needs a timer event (reservation start,
@@ -94,6 +106,38 @@ class Scheduler {
     copy->ctx_ = nullptr;
     return copy;
   }
+
+  // --- the wait queue ------------------------------------------------------
+
+  /// Submitted jobs that have not started, in submission order.
+  const std::vector<JobId>& waiting() const { return waiting_; }
+
+  /// The wait queue in `kind` priority order.
+  std::vector<JobId> waiting_by_priority(PriorityKind kind) const {
+    return sorted_by_priority(waiting_, kind);
+  }
+
+  /// Remove `ids` from the wait queue in one pass (ids not queued are
+  /// ignored; the rest keep their order).
+  void dequeue(std::span<const JobId> ids) { erase_ids(waiting_, ids); }
+
+  /// Remove every id in `ids` from `queue` in one pass, preserving order.
+  template <typename Queue>
+  static void erase_ids(Queue& queue, std::span<const JobId> ids) {
+    if (ids.empty()) return;
+    std::erase_if(queue,
+                  [&](JobId id) { return std::find(ids.begin(), ids.end(), id) != ids.end(); });
+  }
+
+  /// One backfill pass at ctx().now() over `order`. Each job starts now if it
+  /// fits beside the running jobs and every reservation pinned so far.
+  /// Otherwise, while fewer than `depth` reservations are pinned and the job
+  /// is among the first `reservable` entries of `order`, it pins a
+  /// reservation at its earliest fit, which every later job must respect.
+  /// Started ids are appended to `starts` and leave the wait queue. Returns
+  /// the earliest reservation, if any.
+  std::optional<Time> backfill(std::span<const JobId> order, std::size_t reservable, int depth,
+                               std::vector<JobId>& starts);
 
   /// true if a's queue priority is ahead of b's under `kind`.
   bool priority_less(const Job& a, const Job& b, PriorityKind kind) const;
@@ -125,6 +169,7 @@ class Scheduler {
 
  private:
   const SchedulerContext* ctx_ = nullptr;
+  std::vector<JobId> waiting_;
   std::optional<Profile> scratch_profile_;
 };
 

@@ -10,6 +10,7 @@
 #include "core/job.hpp"
 #include "core/policy.hpp"
 #include "sim/engine.hpp"
+#include "workload/generator.hpp"
 
 namespace psched::test {
 
@@ -33,6 +34,26 @@ inline Workload make_workload(NodeCount system_size, std::vector<Job> jobs) {
   Workload w = builder.build();
   w.validate();
   return w;
+}
+
+/// A generated workload with every over-run path live: every 3rd job
+/// underestimates its runtime (WCL enforcement and the over-run horizon
+/// engage) and every 4th job runs 4x longer (a 72 h maximum-runtime limit
+/// splits it).
+inline Workload stress_workload(std::uint64_t seed, std::size_t jobs = 300,
+                                NodeCount system_size = 48, Time span = days(4)) {
+  WorkloadBuilder edit(workload::generate_small_workload(seed, jobs, system_size, span));
+  for (std::size_t i = 0; i < edit.jobs.size(); ++i) {
+    Job& job = edit.jobs[i];
+    if (i % 4 == 0) {
+      job.runtime *= 4;
+      job.wcl *= 4;
+    }
+    if (i % 3 == 0) job.wcl = std::max<Time>(1, job.runtime / 2);
+  }
+  Workload out = edit.build();
+  out.validate();
+  return out;
 }
 
 /// Run one policy on a workload with default engine settings.

@@ -25,19 +25,6 @@ TEST(DepthScheduler, RejectsBadDepth) {
   EXPECT_THROW(DepthScheduler(DepthConfig{PriorityKind::Fcfs, 0}), std::invalid_argument);
 }
 
-TEST(DepthScheduler, DepthOneMatchesEasyScenario) {
-  // The EASY Figure-2 scenario behaves identically at depth 1.
-  const Workload w = make_workload(8, {
-                                          make_job(0, 100, 6),
-                                          make_job(1, 50, 4),
-                                          make_job(2, 50, 2),
-                                      });
-  const SimulationResult depth = run_depth(w, 1);
-  const SimulationResult easy = test::run_policy(w, PolicyKind::Easy);
-  for (std::size_t i = 0; i < w.jobs.size(); ++i)
-    EXPECT_EQ(depth.records[i].start, easy.records[i].start) << "job " << i;
-}
-
 TEST(DepthScheduler, DeeperReservationsProtectMoreJobs) {
   // Two blocked jobs. The long backfiller J3 threads around J1's reservation
   // (6+2 = 8 fits) but would collide with J2's (7+2 > 8). At depth 1 only
@@ -59,23 +46,40 @@ TEST(DepthScheduler, DeeperReservationsProtectMoreJobs) {
   EXPECT_EQ(d2.records[3].start, 210);
 }
 
-TEST(DepthScheduler, LargeDepthApproachesDynamicConservative) {
-  const Workload w = psched::workload::generate_small_workload(91, 200, 48, days(5));
-  const SimulationResult deep = run_depth(w, 1'000'000, PriorityKind::Fairshare);
-  sim::EngineConfig config;
-  config.policy.kind = PolicyKind::ConservativeDynamic;
-  const SimulationResult consdyn = sim::simulate(w, config);
-  // Not necessarily identical schedules (consdyn launches at replanned
-  // reservations; depth starts greedily), but both must be valid and close
-  // in aggregate.
-  test::expect_no_overallocation(deep);
-  test::expect_complete_and_causal(deep);
-  double deep_wait = 0.0, consdyn_wait = 0.0;
-  for (std::size_t i = 0; i < deep.records.size(); ++i) {
-    deep_wait += static_cast<double>(deep.records[i].wait());
-    consdyn_wait += static_cast<double>(consdyn.records[i].wait());
+TEST(DepthScheduler, LargeDepthMatchesDynamicConservative) {
+  // A depth covering the whole queue reserves every blocked job in priority
+  // order at every event, which is exactly dynamic conservative's per-event
+  // rebuild: the two must agree on every record, whatever the priority, WCL
+  // enforcement and maximum-runtime limit.
+  for (const std::uint64_t seed : {91u, 92u, 93u, 94u}) {
+    const Workload w = test::stress_workload(seed);
+    for (const PriorityKind priority : {PriorityKind::Fcfs, PriorityKind::Fairshare}) {
+      for (const sim::WclEnforcement mode :
+           {sim::WclEnforcement::Never, sim::WclEnforcement::KillIfNeeded,
+            sim::WclEnforcement::Always}) {
+        for (const Time max_runtime : {kNoTime, hours(72)}) {
+          SCOPED_TRACE(testing::Message()
+                       << "seed " << seed << " priority " << static_cast<int>(priority)
+                       << " wcl " << static_cast<int>(mode) << " max " << max_runtime);
+          sim::EngineConfig config;
+          config.policy.kind = PolicyKind::Depth;
+          config.policy.reservation_depth = 1'000'000;
+          config.policy.priority = priority;
+          config.policy.max_runtime = max_runtime;
+          config.wcl_enforcement = mode;
+          config.record_snapshots = false;
+          const SimulationResult deep = sim::simulate(w, config);
+          config.policy.kind = PolicyKind::ConservativeDynamic;
+          const SimulationResult consdyn = sim::simulate(w, config);
+          ASSERT_EQ(deep.records.size(), consdyn.records.size());
+          for (std::size_t i = 0; i < deep.records.size(); ++i) {
+            ASSERT_EQ(deep.records[i].start, consdyn.records[i].start) << "record " << i;
+            ASSERT_EQ(deep.records[i].finish, consdyn.records[i].finish) << "record " << i;
+          }
+        }
+      }
+    }
   }
-  EXPECT_LT(deep_wait, consdyn_wait * 2.0 + 1.0);
 }
 
 TEST(DepthScheduler, NameIncludesDepth) {

@@ -1,4 +1,4 @@
-#include "core/easy_scheduler.hpp"
+#include "core/policy.hpp"
 
 #include <gtest/gtest.h>
 

@@ -19,6 +19,10 @@
 #        to SWF and replayed through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget, with the eager- and
 #        streaming-reader stores diffed byte-for-byte
+#     9. the campaign benchmark's smoke: perfbench/run.py builds its own
+#        harness against the library (so a break in the Scheduler interface
+#        its timing decorator overrides fails here, not at benchmark time)
+#        and runs every workload at tiny scale through all output checks
 #
 #   tools/run_ci.sh sanitize   the sanitizer matrix (a separate workflow job
 #     so tier-1 latency is unchanged): the FULL ctest suite under ASan and
@@ -152,6 +156,11 @@ SPEC
   cmp "$ARCHIVE_OUT/streaming/summary.json" "$ARCHIVE_OUT/eager/summary.json"
   # The forked FST actually ran: its metric columns are in the store.
   grep -q "policy_percent_unfair" "$ARCHIVE_OUT/streaming/cells.csv"
+
+  echo "== campaign benchmark smoke =="
+  # Builds perfbench's harness (into .bench_build/) and runs every workload
+  # at tiny scale; exits nonzero if the build or any output check fails.
+  python3 perfbench/run.py --smoke --seed 7
 }
 
 case "$STEP" in
