@@ -8,12 +8,10 @@
 
 namespace psched {
 
-ConservativeScheduler::ConservativeScheduler(ConservativeConfig config) : config_(config) {}
+ConservativeScheduler::ConservativeScheduler(PriorityKind priority) : priority_(priority) {}
 
 std::string ConservativeScheduler::name() const {
-  std::string n = config_.dynamic_reservations ? "consdyn" : "cons";
-  if (config_.priority == PriorityKind::Fcfs) n += ".fcfs";
-  return n;
+  return priority_ == PriorityKind::Fcfs ? "cons.fcfs" : "cons";
 }
 
 void ConservativeScheduler::on_submit(JobId id) {
@@ -23,11 +21,6 @@ void ConservativeScheduler::on_submit(JobId id) {
 }
 
 void ConservativeScheduler::on_complete(JobId id) { pending_completions_.push_back(id); }
-
-Time ConservativeScheduler::reservation(JobId id) const {
-  const auto it = reservations_.find(id);
-  return it == reservations_.end() ? kNoTime : it->second;
-}
 
 void ConservativeScheduler::seed_running_usage(Time now) {
   if (!plan_ || plan_->capacity() != ctx().total_nodes())
@@ -47,7 +40,7 @@ void ConservativeScheduler::seed_running_usage(Time now) {
 void ConservativeScheduler::compression_pass(Time now) {
   Profile& plan = *plan_;
   bool moved = false;
-  priority_order_ = waiting_by_priority(config_.priority);
+  priority_order_ = waiting_by_priority(priority_);
   order_fresh_ = true;
   for (const JobId id : priority_order_) {
     const Job& job = ctx().job(id);
@@ -68,42 +61,31 @@ void ConservativeScheduler::full_replan(Time now) {
   seed_running_usage(now);
   Profile& plan = *plan_;
 
-  if (config_.dynamic_reservations) {
-    // Plan from scratch in priority order at every event.
-    last_order_ = waiting_by_priority(config_.priority);
-    for (const JobId id : last_order_) {
-      const Job& job = ctx().job(id);
-      const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[id] = start;
-    }
-  } else {
-    // Static conservative. Pass 1: re-seat stored reservations in stored-start
-    // order; a slot only moves later if an over-running job broke it. Brand-new
-    // arrivals (kNoTime) are seated last so they cannot delay anyone.
-    std::vector<JobId> seat_order = waiting();
-    std::sort(seat_order.begin(), seat_order.end(), [&](JobId a, JobId b) {
-      const Time ra = reservations_.at(a);
-      const Time rb = reservations_.at(b);
-      const Time ka = ra == kNoTime ? std::numeric_limits<Time>::max() : ra;
-      const Time kb = rb == kNoTime ? std::numeric_limits<Time>::max() : rb;
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-    for (const JobId id : seat_order) {
-      const Job& job = ctx().job(id);
-      const Time stored = reservations_.at(id);
-      const Time from = stored == kNoTime ? now : std::max(stored, now);
-      const Time start = plan.earliest_fit(from, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[id] = start;
-    }
-
-    // Pass 2: improvement attempts in priority order — higher-priority jobs get
-    // the first chance at space freed by early completions. A job keeps its
-    // slot unless the found one is strictly earlier.
-    compression_pass(now);
+  // Pass 1: re-seat stored reservations in stored-start order; a slot only
+  // moves later if an over-running job broke it. Brand-new arrivals (kNoTime)
+  // are seated last so they cannot delay anyone.
+  std::vector<JobId> seat_order = waiting();
+  std::sort(seat_order.begin(), seat_order.end(), [&](JobId a, JobId b) {
+    const Time ra = reservations_.at(a);
+    const Time rb = reservations_.at(b);
+    const Time ka = ra == kNoTime ? std::numeric_limits<Time>::max() : ra;
+    const Time kb = rb == kNoTime ? std::numeric_limits<Time>::max() : rb;
+    if (ka != kb) return ka < kb;
+    return a < b;
+  });
+  for (const JobId id : seat_order) {
+    const Job& job = ctx().job(id);
+    const Time stored = reservations_.at(id);
+    const Time from = stored == kNoTime ? now : std::max(stored, now);
+    const Time start = plan.earliest_fit(from, job.wcl, job.nodes);
+    plan.add_usage(start, start + job.wcl, job.nodes);
+    reservations_[id] = start;
   }
+
+  // Pass 2: improvement attempts in priority order — higher-priority jobs get
+  // the first chance at space freed by early completions. A job keeps its
+  // slot unless the found one is strictly earlier.
+  compression_pass(now);
 
   pending_arrivals_.clear();
   pending_completions_.clear();
@@ -116,14 +98,12 @@ bool ConservativeScheduler::incremental_replan(Time now) {
   obs::count(obs::Counter::kSchedReplanIncremental);
   Profile& plan = *plan_;
 
-  // A completion whose planned usage extends past now frees future capacity.
-  // Static mode handles it by returning the usage and compressing; dynamic
-  // mode must rebuild (every reservation may shift onto the freed space).
+  // A completion whose planned usage extends past now frees future capacity:
+  // return the usage and let the compression pass move jobs onto it.
   for (const JobId id : pending_completions_) {
     const auto it = planned_end_.find(id);
     if (it == planned_end_.end()) return false;  // job unknown to the plan
     if (it->second > now) {
-      if (config_.dynamic_reservations) return false;
       plan.remove_usage(now, it->second, ctx().job(id).nodes);
       capacity_freed_ = true;
     }
@@ -131,41 +111,10 @@ bool ConservativeScheduler::incremental_replan(Time now) {
   }
   pending_completions_.clear();
 
-  if (config_.dynamic_reservations) {
-    // Replan only the suffix of the priority order that no longer matches
-    // the order the current plan was built in. Jobs launched since remain in
-    // the plan as running usage over exactly their reservation interval, so
-    // eliding them keeps the planning prefix byte-identical.
-    std::vector<JobId> order = waiting_by_priority(config_.priority);
-    std::vector<JobId> previous;
-    previous.reserve(last_order_.size());
-    for (const JobId id : last_order_)
-      if (reservations_.count(id) != 0) previous.push_back(id);
-    std::size_t prefix = 0;
-    while (prefix < order.size() && prefix < previous.size() &&
-           order[prefix] == previous[prefix])
-      ++prefix;
-    if (prefix * 2 < order.size()) return false;  // mostly reshuffled: rebuild is cheaper
-    for (std::size_t i = prefix; i < previous.size(); ++i) {
-      const Job& job = ctx().job(previous[i]);
-      const Time start = reservations_.at(previous[i]);
-      plan.remove_usage(start, start + job.wcl, job.nodes);
-    }
-    for (std::size_t i = prefix; i < order.size(); ++i) {
-      const Job& job = ctx().job(order[i]);
-      const Time start = plan.earliest_fit(now, job.wcl, job.nodes);
-      plan.add_usage(start, start + job.wcl, job.nodes);
-      reservations_[order[i]] = start;
-    }
-    last_order_ = std::move(order);
-    pending_arrivals_.clear();
-    return true;
-  }
-
-  // Static mode: existing reservations are untouched by arrivals (the naive
-  // pass 1 re-seats them at exactly their stored slots), so only the new
-  // jobs need seating — last, in record-id order, matching the naive
-  // tie-break for kNoTime entries.
+  // Existing reservations are untouched by arrivals (the naive pass 1
+  // re-seats them at exactly their stored slots), so only the new jobs need
+  // seating — last, in record-id order, matching the naive tie-break for
+  // kNoTime entries.
   std::sort(pending_arrivals_.begin(), pending_arrivals_.end());
   for (const JobId id : pending_arrivals_) {
     const Job& job = ctx().job(id);
@@ -206,13 +155,9 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   plan_valid_ = !overrun;
 
   // Launch everything whose reservation came due, highest priority first.
-  // The replan path usually just computed this exact order (last_order_ in
-  // dynamic mode, the compression pass's sort otherwise); avoid re-sorting.
-  if (config_.dynamic_reservations) {
-    priority_order_ = last_order_;
-  } else if (!order_fresh_) {
-    priority_order_ = waiting_by_priority(config_.priority);
-  }
+  // The compression pass usually just computed this exact order; avoid
+  // re-sorting.
+  if (!order_fresh_) priority_order_ = waiting_by_priority(priority_);
   NodeCount free = ctx().free_nodes();
   std::optional<Time> wake;
   for (const JobId id : priority_order_) {

@@ -1,34 +1,29 @@
 #pragma once
-// Conservative backfilling (paper section 5.3) and conservative backfilling
-// with dynamic reservations (section 5.4).
+// Conservative backfilling (paper section 5.3). Conservative backfilling with
+// dynamic reservations (section 5.4) rebuilds every reservation in priority
+// order at each event, which is reservation-depth backfilling at unbounded
+// depth: PolicyKind::ConservativeDynamic is a DepthScheduler (see
+// depth_scheduler.hpp), not this class.
 //
-// Static mode: every job receives an internal reservation on arrival (the
-// earliest slot that delays nobody). At each scheduling event the queue is
-// processed in fairshare priority order and each job may *improve* its
-// reservation — it never gives one up unless the new slot is strictly
-// earlier, so arrival-time reservations are upper bounds on wait time and no
-// starvation queue is needed.
-//
-// Dynamic mode: reservations are not sticky. At every scheduling event all
-// reservations are discarded and the whole schedule is rebuilt in fairshare
-// priority order, removing the "FCFS feel" of static conservative — a job's
-// position tracks its user's current fairshare standing.
+// Every job receives an internal reservation on arrival (the earliest slot
+// that delays nobody). At each scheduling event the queue is processed in
+// fairshare priority order and each job may *improve* its reservation — it
+// never gives one up unless the new slot is strictly earlier, so
+// arrival-time reservations are upper bounds on wait time and no starvation
+// queue is needed.
 //
 // Implementation note — incremental replanning. The observable behavior is
 // exactly the naive per-event rebuild described above (the determinism test
 // in tests/test_sched_determinism.cpp checks this against a verbatim copy of
 // the original algorithm), but the planned-schedule profile is kept alive
 // across events and updated in place:
-//   * an arrival seats only the new job (the planning prefix is unchanged);
+//   * an arrival seats only the new job;
 //   * a completion returns the completed job's planned usage and triggers a
 //     compression pass, which is skipped once the plan reaches a fixed point
 //     (no capacity freed and the previous pass moved nothing — provably a
 //     no-op);
-//   * dynamic mode reuses the longest priority-order prefix shared with the
-//     previous plan and replans only the suffix, falling back to a full
-//     rebuild when priorities reshuffle;
-//   * a full rebuild also happens whenever a running job over-runs its
-//     estimate (the assumed over-run horizon then changes every event).
+//   * a full rebuild happens whenever a running job over-runs its estimate
+//     (the assumed over-run horizon then changes every event).
 
 #include <optional>
 #include <unordered_map>
@@ -37,14 +32,9 @@
 
 namespace psched {
 
-struct ConservativeConfig {
-  PriorityKind priority = PriorityKind::Fairshare;
-  bool dynamic_reservations = false;
-};
-
 class ConservativeScheduler final : public Scheduler {
  public:
-  explicit ConservativeScheduler(ConservativeConfig config);
+  explicit ConservativeScheduler(PriorityKind priority);
 
   std::string name() const override;
   void on_submit(JobId id) override;
@@ -58,17 +48,10 @@ class ConservativeScheduler final : public Scheduler {
   /// byte-identically to the original from the clone point on.
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
-  const ConservativeConfig& config() const { return config_; }
-
-  /// Current reservation of a waiting job (kNoTime before its first
-  /// scheduling event). Exposed for tests/metrics.
-  Time reservation(JobId id) const;
-
  private:
   /// Rebuild the plan profile and all reservations from scratch for "now"
-  /// (the pre-optimization per-event behavior). Static mode keeps each
-  /// stored slot unless an improvement (searched in priority order) is
-  /// strictly earlier; dynamic mode replans everything in priority order.
+  /// (the pre-optimization per-event behavior): each stored slot is kept
+  /// unless an improvement (searched in priority order) is strictly earlier.
   void full_replan(Time now);
 
   /// Apply this event's arrivals/completions to the persistent plan without
@@ -84,7 +67,7 @@ class ConservativeScheduler final : public Scheduler {
   /// earlier slot if one exists. Updates compress_active_/capacity_freed_.
   void compression_pass(Time now);
 
-  ConservativeConfig config_;
+  PriorityKind priority_;
   std::unordered_map<JobId, Time> reservations_;  // stored starts (kNoTime = new)
   std::optional<Time> wakeup_;
 
@@ -100,8 +83,6 @@ class ConservativeScheduler final : public Scheduler {
   /// The last compression pass moved at least one reservation (so the next
   /// one may cascade further and cannot be skipped).
   bool compress_active_ = false;
-  /// Dynamic mode: priority order the current plan was built in.
-  std::vector<JobId> last_order_;
   /// Scratch: priority order of the wait queue computed during this event's
   /// replan (compression pass), reusable by the launch loop.
   std::vector<JobId> priority_order_;

@@ -38,10 +38,6 @@ class CplantScheduler final : public Scheduler {
   std::optional<Time> next_wakeup() const override { return wakeup_; }
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
-  const CplantConfig& config() const { return config_; }
-  /// Jobs currently in the starvation queue (FCFS order); exposed for tests.
-  const std::deque<JobId>& starvation_queue() const { return starve_; }
-
  private:
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
   bool user_is_heavy(UserId user) const;

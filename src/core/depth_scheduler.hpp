@@ -7,8 +7,9 @@
 // reservations (computed in that order); any other job may start immediately
 // if it violates none of them. depth == 1 is EASY / aggressive backfilling
 // (PolicyKind::Easy builds exactly this scheduler); a depth large enough to
-// cover the queue matches conservative-with-dynamic-reservations record for
-// record (reservations are replanned every event, not sticky).
+// cover the queue is conservative backfilling with dynamic reservations
+// (paper section 5.4; PolicyKind::ConservativeDynamic builds this scheduler
+// at depth INT_MAX): every reservation is replanned each event, not sticky.
 
 #include <optional>
 
@@ -29,8 +30,6 @@ class DepthScheduler final : public Scheduler {
   void collect_starts(std::vector<JobId>& starts) override;
   std::optional<Time> next_wakeup() const override { return wakeup_; }
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
-
-  const DepthConfig& config() const { return config_; }
 
  private:
   DepthConfig config_;

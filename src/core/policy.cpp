@@ -1,6 +1,7 @@
 #include "core/policy.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,9 +66,13 @@ std::unique_ptr<Scheduler> make_scheduler(const PolicyConfig& config) {
     case PolicyKind::Fcfs:
       return std::make_unique<FcfsScheduler>(config.priority);
     case PolicyKind::Easy:  // EASY is reservation depth 1
+      return std::make_unique<DepthScheduler>(DepthConfig{config.priority, 1});
     case PolicyKind::Depth:
-      return std::make_unique<DepthScheduler>(DepthConfig{
-          config.priority, config.kind == PolicyKind::Easy ? 1 : config.reservation_depth});
+      return std::make_unique<DepthScheduler>(
+          DepthConfig{config.priority, config.reservation_depth});
+    case PolicyKind::ConservativeDynamic:  // every job replanned: unbounded depth
+      return std::make_unique<DepthScheduler>(
+          DepthConfig{config.priority, std::numeric_limits<int>::max()});
     case PolicyKind::Cplant: {
       CplantConfig c;
       c.priority = config.priority;
@@ -77,12 +82,7 @@ std::unique_ptr<Scheduler> make_scheduler(const PolicyConfig& config) {
       return std::make_unique<CplantScheduler>(c);
     }
     case PolicyKind::Conservative:
-    case PolicyKind::ConservativeDynamic: {
-      ConservativeConfig c;
-      c.priority = config.priority;
-      c.dynamic_reservations = config.kind == PolicyKind::ConservativeDynamic;
-      return std::make_unique<ConservativeScheduler>(c);
-    }
+      return std::make_unique<ConservativeScheduler>(config.priority);
   }
   throw std::invalid_argument("make_scheduler: unknown policy kind");
 }

@@ -19,8 +19,8 @@ enum class PolicyKind {
   Cplant,               ///< no-guarantee backfill + starvation queue
   Easy,                 ///< aggressive backfilling: built as Depth at depth 1
   Depth,                ///< first-n-jobs reservations (between EASY and cons)
-  Conservative,         ///< reservation for every job
-  ConservativeDynamic,  ///< conservative, reservations replanned every event
+  Conservative,         ///< sticky reservation for every job (static)
+  ConservativeDynamic,  ///< every reservation replanned each event: Depth at INT_MAX
 };
 
 struct PolicyConfig {

@@ -10,19 +10,9 @@ const SchedulerContext& Scheduler::ctx() const {
   return *ctx_;
 }
 
-bool Scheduler::priority_less(const Job& a, const Job& b, PriorityKind kind) const {
-  if (kind == PriorityKind::Fairshare) {
-    const double ua = ctx().user_usage(a.user);
-    const double ub = ctx().user_usage(b.user);
-    if (ua != ub) return ua < ub;  // lower decayed usage goes first
-  }
-  if (a.submit != b.submit) return a.submit < b.submit;
-  return a.id < b.id;
-}
-
 std::vector<JobId> Scheduler::sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const {
   // Decorate-sort-undecorate: one context/job lookup per id instead of two
-  // virtual calls per comparison. Key order mirrors priority_less exactly.
+  // virtual calls per comparison.
   struct Key {
     double usage;
     Time submit;

@@ -139,12 +139,10 @@ class Scheduler {
   std::optional<Time> backfill(std::span<const JobId> order, std::size_t reservable, int depth,
                                std::vector<JobId>& starts);
 
-  /// true if a's queue priority is ahead of b's under `kind`.
-  bool priority_less(const Job& a, const Job& b, PriorityKind kind) const;
-
-  /// Waiting ids sorted by priority (stable, deterministic tie-breaks).
-  /// Sort keys are materialized once per id instead of re-derived through
-  /// the context on every comparison.
+  /// `ids` in `kind` priority order: under Fairshare, lower decayed user
+  /// usage first; then earlier submit; then lower id (a strict total order,
+  /// so the result is deterministic). Sort keys are materialized once per id
+  /// instead of re-derived through the context on every comparison.
   std::vector<JobId> sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const;
 
   /// Fill `profile` with usage of all running jobs. Jobs past their

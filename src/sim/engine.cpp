@@ -8,6 +8,15 @@
 
 namespace psched::sim {
 
+namespace {
+
+/// Fairshare decay period: CPlant decayed usage every 24 hours.
+constexpr Time kFairsharePeriod = days(1);
+/// Re-test interval for spared over-running jobs under KillIfNeeded.
+constexpr Time kWclRecheckInterval = hours(1);
+
+}  // namespace
+
 SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config)
     : SimulationEngine(workload, std::move(config), nullptr) {}
 
@@ -17,7 +26,7 @@ SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config
       config_(std::move(config)),
       limiter_(config_.policy.max_runtime),
       scheduler_(scheduler ? std::move(scheduler) : make_scheduler(config_.policy)),
-      fairshare_(config_.fairshare_decay, config_.fairshare_period,
+      fairshare_(config_.fairshare_decay, kFairsharePeriod,
                  workload.jobs.empty() ? 0 : workload.jobs.front().submit,
                  config_.fairshare_update),
       system_size_(workload.system_size),
@@ -310,7 +319,7 @@ void SimulationEngine::handle_wcl_check(JobId id) {
   if (needed)
     deliver_completion(id, now_, /*killed=*/true);
   else
-    push_event({now_ + config_.wcl_recheck_interval, EventKind::WclCheck, id});
+    push_event({now_ + kWclRecheckInterval, EventKind::WclCheck, id});
 }
 
 void SimulationEngine::schedule_timer(Time at) {

@@ -74,19 +74,17 @@ enum class SegmentArrival {
 
 struct EngineConfig {
   PolicyConfig policy;
-  /// Usage multiplier per decay period. 0.9/day keeps a heavy user's standing
-  /// depressed for a week or two (half-life ~6.6 days), which is what makes
-  /// the starvation dynamics of the paper's policies visible; 0.5/day would
-  /// forgive heavy use overnight.
+  /// Usage multiplier per decay period, which is one day (CPlant decayed
+  /// every 24 hours). 0.9/day keeps a heavy user's standing depressed for a
+  /// week or two (half-life ~6.6 days), which is what makes the starvation
+  /// dynamics of the paper's policies visible; 0.5/day would forgive heavy
+  /// use overnight.
   double fairshare_decay = 0.9;
-  Time fairshare_period = days(1);     ///< CPlant decayed every 24 hours
   /// Priority refresh cadence (daily batch, as production fairshare works).
   FairshareUpdate fairshare_update = FairshareUpdate::AtDecayBoundary;
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
   SegmentArrival segment_arrival = SegmentArrival::AtOriginalSubmit;
-  bool record_snapshots = true;        ///< needed by the FST metrics
-  /// Re-test interval for spared over-running jobs under KillIfNeeded.
-  Time wcl_recheck_interval = hours(1);
+  bool record_snapshots = true;  ///< needed by the FST metrics
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
   /// When it trips, the run throws SimulationCancelled. Empty (the default)

@@ -282,8 +282,9 @@ TEST(ProfileDeep, CopyMidDirtyIsIndependentAndMatchesLinear) {
 TEST(ProfileDeep, HeavyReplanSimulationIsIndexInvariant) {
   // End-to-end: conservative (static + dynamic) and CPlant runs over a deep
   // burst queue must produce identical schedules with the index forced on
-  // and forced off — the index wires into the persistent replan profile and
-  // the starvation head reservation without changing one decision.
+  // and forced off — the index wires into the persistent replan profile, the
+  // per-pass backfill profile and the starvation head reservation without
+  // changing one decision.
   const Workload trace = burst_workload(500);
   for (const PolicyKind kind :
        {PolicyKind::Conservative, PolicyKind::ConservativeDynamic, PolicyKind::Cplant}) {

@@ -53,7 +53,6 @@ class ProbeScheduler final : public Scheduler {
   void collect_starts(std::vector<JobId>&) override {}
 
   using Scheduler::add_running_to_profile;
-  using Scheduler::priority_less;
   using Scheduler::sorted_by_priority;
 };
 
@@ -100,14 +99,15 @@ TEST_F(SchedulerBaseTest, FairshareTiesFallBackToSubmit) {
   EXPECT_EQ(order, (std::vector<JobId>{0, 1, 2}));
 }
 
-TEST_F(SchedulerBaseTest, PriorityLessIsStrictWeakOrdering) {
-  ctx_.usage_[0] = 1.0;
+TEST_F(SchedulerBaseTest, TiedUsageSortsTheSameFromEitherInputOrder) {
+  // Users 1 and 2 tie on usage and their jobs on submit time, so only the id
+  // separates them; user 0 is heavier and goes last.
+  ctx_.usage_[0] = 5.0;
   ctx_.usage_[1] = 1.0;
-  const Job& a = ctx_.job(0);
-  const Job& b = ctx_.job(1);
-  EXPECT_FALSE(probe_.priority_less(a, a, PriorityKind::Fairshare));
-  EXPECT_NE(probe_.priority_less(a, b, PriorityKind::Fairshare),
-            probe_.priority_less(b, a, PriorityKind::Fairshare));
+  ctx_.usage_[2] = 1.0;
+  const std::vector<JobId> expected{1, 2, 0};
+  EXPECT_EQ(probe_.sorted_by_priority({0, 1, 2}, PriorityKind::Fairshare), expected);
+  EXPECT_EQ(probe_.sorted_by_priority({2, 1, 0}, PriorityKind::Fairshare), expected);
 }
 
 TEST_F(SchedulerBaseTest, RunningProfileUsesEstimatedEnds) {

@@ -48,9 +48,10 @@ TEST(DepthScheduler, DeeperReservationsProtectMoreJobs) {
 
 TEST(DepthScheduler, LargeDepthMatchesDynamicConservative) {
   // A depth covering the whole queue reserves every blocked job in priority
-  // order at every event, which is exactly dynamic conservative's per-event
-  // rebuild: the two must agree on every record, whatever the priority, WCL
-  // enforcement and maximum-runtime limit.
+  // order at every event, which is dynamic conservative's per-event rebuild.
+  // ConservativeDynamic is built at depth INT_MAX; any depth past the queue
+  // length must give the same schedule on every record, whatever the
+  // priority, WCL enforcement and maximum-runtime limit.
   for (const std::uint64_t seed : {91u, 92u, 93u, 94u}) {
     const Workload w = test::stress_workload(seed);
     for (const PriorityKind priority : {PriorityKind::Fcfs, PriorityKind::Fairshare}) {

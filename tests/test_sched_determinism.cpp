@@ -1,9 +1,12 @@
-// Determinism tests: the incremental conservative replanner must produce a
-// byte-identical schedule to the original per-event-rebuild algorithm.
+// Determinism tests: both conservative policies must produce a byte-identical
+// schedule to the original per-event-rebuild algorithm — static conservative
+// through its incremental replanner, dynamic reservations through the
+// unbounded-depth DepthScheduler that PolicyKind::ConservativeDynamic builds.
 //
 // ReferenceConservativeScheduler below is a verbatim copy of the seed
-// implementation (fresh profile + full reseat + improvement pass at every
-// scheduling event), running on the preserved ReferenceProfile. Both
+// implementation (fresh profile + full reseat + improvement pass, or a full
+// priority-order replan in dynamic mode, at every scheduling event), running
+// on the preserved ReferenceProfile. Both
 // schedulers are driven over the same generated workloads — including
 // under-estimating jobs (over-runners), fairshare priority reshuffles,
 // runtime-limit segmentation and WCL kills — and every record's start and
@@ -16,7 +19,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "core/conservative_scheduler.hpp"
 #include "core/reference_profile.hpp"
 #include "core/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -31,7 +33,8 @@ namespace {
 /// reservation at every scheduling event.
 class ReferenceConservativeScheduler final : public Scheduler {
  public:
-  explicit ReferenceConservativeScheduler(ConservativeConfig config) : config_(config) {}
+  ReferenceConservativeScheduler(PriorityKind priority, bool dynamic)
+      : priority_(priority), dynamic_(dynamic) {}
 
   std::string name() const override { return "cons.reference"; }
 
@@ -55,7 +58,7 @@ class ReferenceConservativeScheduler final : public Scheduler {
 
     NodeCount free = ctx().free_nodes();
     std::optional<Time> wake;
-    for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+    for (const JobId id : sorted_by_priority(waiting_, priority_)) {
       const Time start = reservations_.at(id);
       if (start <= now) {
         const Job& job = ctx().job(id);
@@ -76,8 +79,8 @@ class ReferenceConservativeScheduler final : public Scheduler {
 
  private:
   void replan(reference::ReferenceProfile& profile, Time now) {
-    if (config_.dynamic_reservations) {
-      for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+    if (dynamic_) {
+      for (const JobId id : sorted_by_priority(waiting_, priority_)) {
         const Job& job = ctx().job(id);
         const Time start = profile.earliest_fit(now, job.wcl, job.nodes);
         profile.add_usage(start, start + job.wcl, job.nodes);
@@ -104,7 +107,7 @@ class ReferenceConservativeScheduler final : public Scheduler {
       reservations_[id] = start;
     }
 
-    for (const JobId id : sorted_by_priority(waiting_, config_.priority)) {
+    for (const JobId id : sorted_by_priority(waiting_, priority_)) {
       const Job& job = ctx().job(id);
       const Time current = reservations_.at(id);
       profile.remove_usage(current, current + job.wcl, job.nodes);
@@ -115,7 +118,8 @@ class ReferenceConservativeScheduler final : public Scheduler {
     }
   }
 
-  ConservativeConfig config_;
+  PriorityKind priority_;
+  bool dynamic_;
   std::vector<JobId> waiting_;
   std::unordered_map<JobId, Time> reservations_;
   std::optional<Time> wakeup_;
@@ -141,8 +145,7 @@ void run_and_compare(const Workload& workload, bool dynamic, PriorityKind priori
   const SimulationResult optimized = sim::simulate(workload, base);
   const SimulationResult reference = sim::simulate_with(
       workload, base,
-      std::make_unique<ReferenceConservativeScheduler>(
-          ConservativeConfig{priority, dynamic}));
+      std::make_unique<ReferenceConservativeScheduler>(priority, dynamic));
   expect_identical_schedules(optimized, reference);
 }
 
@@ -186,12 +189,21 @@ TEST(SchedulerDeterminism, WithWclKills) {
   run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
+TEST(SchedulerDeterminism, WithWclHardLimit) {
+  sim::EngineConfig config;
+  config.wcl_enforcement = sim::WclEnforcement::Always;
+  const Workload w = workload::generate_small_workload(71, 300, 64, days(7));
+  run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
+}
+
 TEST(SchedulerDeterminism, ChainedSegments) {
   sim::EngineConfig config;
   config.policy.max_runtime = hours(8);
   config.segment_arrival = sim::SegmentArrival::Chained;
   const Workload w = workload::generate_small_workload(61, 250, 64, days(7));
   run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);
+  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
 }  // namespace

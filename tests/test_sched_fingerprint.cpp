@@ -1,9 +1,9 @@
-// Schedule fingerprints: pins the exact schedule of every non-conservative
-// policy. Each digest is FNV-1a over every record's (start, finish) for one
-// policy and one priority order, across a matrix of generated seeds, WCL
-// enforcement modes and maximum-runtime limits. A refactor of the policy
-// plumbing must leave every digest unchanged; a deliberate behavior change
-// updates the table and records the before/after numbers in CHANGES.md.
+// Schedule fingerprints: pins the exact schedule of every policy. Each digest
+// is FNV-1a over every record's (start, finish) for one policy and one
+// priority order, across a matrix of generated seeds, WCL enforcement modes
+// and maximum-runtime limits. A refactor of the policy plumbing must leave
+// every digest unchanged; a deliberate behavior change updates the table and
+// records the before/after numbers in CHANGES.md.
 
 #include <gtest/gtest.h>
 
@@ -74,12 +74,21 @@ std::string hex(std::uint64_t value) {
   return out.str();
 }
 
-TEST(ScheduleFingerprint, NonConservativePoliciesArePinned) {
+void expect_pinned(const std::vector<Pin>& pins) {
   std::vector<Workload> workloads;
   for (const std::uint64_t seed : {101u, 202u, 303u, 404u})
     workloads.push_back(test::stress_workload(seed));
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(hex(fingerprint(pin.policy, PriorityKind::Fcfs, workloads)), hex(pin.fcfs))
+        << pin.label << " (fcfs priority)";
+    EXPECT_EQ(hex(fingerprint(pin.policy, PriorityKind::Fairshare, workloads)),
+              hex(pin.fairshare))
+        << pin.label << " (fairshare priority)";
+  }
+}
 
-  const std::vector<Pin> pins = {
+TEST(ScheduleFingerprint, NonConservativePoliciesArePinned) {
+  expect_pinned({
       {"fcfs", named("fcfs"), 0xe1e6f46264fff6ccull, 0xfb3c55f4a207069dull},
       {"easy", named("easy"), 0xee04483131bfe190ull, 0x5e50b07c77b034fdull},
       {"depth1", named("depth1"), 0xee04483131bfe190ull, 0x5e50b07c77b034fdull},
@@ -89,14 +98,16 @@ TEST(ScheduleFingerprint, NonConservativePoliciesArePinned) {
       {"cplant24.fair", cplant(24, true), 0xf06f2f5e29313b44ull, 0xca608d5a6e35e8beull},
       {"cplant72.all", cplant(72, false), 0xddf3b3269409ff9dull, 0xa7028d0f176253ecull},
       {"cplant72.fair", cplant(72, true), 0x287bb9188fb6a030ull, 0x10664feedffa4efull},
-  };
-  for (const Pin& pin : pins) {
-    EXPECT_EQ(hex(fingerprint(pin.policy, PriorityKind::Fcfs, workloads)), hex(pin.fcfs))
-        << pin.label << " (fcfs priority)";
-    EXPECT_EQ(hex(fingerprint(pin.policy, PriorityKind::Fairshare, workloads)),
-              hex(pin.fairshare))
-        << pin.label << " (fairshare priority)";
-  }
+  });
+}
+
+TEST(ScheduleFingerprint, ConservativePoliciesArePinned) {
+  // The fcfs column is cons.fcfs / consdyn.fcfs, the fairshare column cons /
+  // consdyn; the matrix's max axis covers the .nomax and .72max spellings.
+  expect_pinned({
+      {"cons", named("cons.nomax"), 0x3029f4e779a7d9dull, 0xf0b535b3ad9597b8ull},
+      {"consdyn", named("consdyn.nomax"), 0x71ff5b1dcfb88562ull, 0xb7ab9c5b42c4f5d5ull},
+  });
 }
 
 }  // namespace

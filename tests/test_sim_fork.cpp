@@ -22,8 +22,8 @@ namespace {
 /// The nine named policies with the maximum-runtime limit cleared: the
 /// policy FST is defined only for unsegmented runs, so the *max variants are
 /// exercised with the same base scheduler minus the limit. This still covers
-/// every scheduler class (cplant x3 knob combinations, conservative static +
-/// dynamic) — clone() fidelity is what the equality pins.
+/// every scheduler class (cplant x3 knob combinations, static conservative,
+/// and depth via consdyn) — clone() fidelity is what the equality pins.
 std::vector<PolicyConfig> nine_policies_nomax() {
   std::vector<PolicyConfig> policies = all_paper_policies();
   for (PolicyConfig& policy : policies) {

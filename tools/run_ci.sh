@@ -8,18 +8,21 @@
 #     4. compile-gate the opt-in experiment/example binaries under -Werror
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
 #        trace), checked for a non-empty results store
-#     6. a kill-and-resume smoke: SIGKILL the campaign mid-cell (a
+#     6. a counter gate: the deterministic work counters (events, scheduler
+#        invocations, replans, per cell) of the fig14 example campaign must
+#        equal tests/data/fig14_smoke.counters exactly
+#     7. a kill-and-resume smoke: SIGKILL the campaign mid-cell (a
 #        PSCHED_FAULTS-injected hang), then --resume and require the results
 #        store to be byte-identical to the uninterrupted run in step 5
-#     7. the chaos harness: psched_chaos re-runs the smoke campaign once per
+#     8. the chaos harness: psched_chaos re-runs the smoke campaign once per
 #        registered fault point (hard-errno, transient and kill+resume legs)
 #        and asserts every failure lands in the retried / degraded /
 #        fail-loud trichotomy with byte-identical recovered stores
-#     8. an archive-scale replay smoke: a ~50k-job synthetic trace exported
+#     9. an archive-scale replay smoke: a ~50k-job synthetic trace exported
 #        to SWF and replayed through a campaign with the forked
 #        (policy-knowledge) FST under a wall budget, with the eager- and
 #        streaming-reader stores diffed byte-for-byte
-#     9. the campaign benchmark's smoke: perfbench/run.py builds its own
+#    10. the campaign benchmark's smoke: perfbench/run.py builds its own
 #        harness against the library (so a break in the Scheduler interface
 #        its timing decorator overrides fails here, not at benchmark time)
 #        and runs every workload at tiny scale through all output checks
@@ -87,6 +90,18 @@ run_tier1() {
   python3 tools/summarize_trace.py "$TRACE_OUT/trace.json" \
     --require-spans campaign,workload-build,group,sweep,cell,store-write \
     --require-counters
+
+  echo "== counter gate: fig14 example campaign =="
+  # Deterministic counters are exact and independent of --jobs, so a cost
+  # blow-up (a timer storm, a replan regression) fails here instead of
+  # hiding in wall time. A deliberate change regenerates the file with these
+  # two commands and records the before/after counts in CHANGES.md.
+  COUNTER_OUT="$BUILD/counter-gate"
+  rm -rf "$COUNTER_OUT" "$COUNTER_OUT.txt"
+  "$BUILD"/psched_campaign examples/campaigns/fig14_all_policies.spec --stats --jobs 1 \
+    --out "$COUNTER_OUT" > "$COUNTER_OUT.txt"
+  python3 tools/counter_snapshot.py "$COUNTER_OUT.txt" "$COUNTER_OUT/summary.json" \
+    | diff -u tests/data/fig14_smoke.counters -
 
   echo "== campaign kill-and-resume smoke =="
   # Hang the second cell, SIGKILL the process once the first cell's journal
