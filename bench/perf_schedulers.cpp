@@ -1,14 +1,12 @@
 // End-to-end scheduler throughput: simulated jobs per second for each policy
 // kind on a common random workload, plus the deep-queue scenario family —
-// burst arrivals that hold thousands of simultaneous reservations, the
-// workload the gap-indexed Profile exists for.
+// burst arrivals that hold thousands of simultaneous reservations.
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <map>
 
-#include "core/profile.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -59,10 +57,9 @@ BENCHMARK(BM_SimConservativeDynamic)->Arg(1000)->Arg(4000)->Unit(benchmark::kMil
 // Burst arrivals on a small machine: every job lands within the first hour,
 // so a conservative plan holds (jobs) simultaneous reservations and every
 // completion triggers a heavy compression/replan pass over the whole queue.
-// The BM_Ref* twins here run the SAME optimized scheduler but with the
-// Profile gap index disabled (ThresholdGuard with Profile::kDisableIndex),
-// i.e. the linear-scan profile — so speedup_vs_reference records exactly
-// what the index buys on deep replans, end to end.
+// No BENCHMARK.json workload has this shape (its deepest plans hold a few
+// hundred breakpoints); the family tracks the profile's linear scan on
+// plans of thousands.
 
 const Workload& deep_burst_trace(std::size_t jobs) {
   static std::map<std::size_t, Workload> cache;
@@ -78,8 +75,7 @@ const Workload& deep_burst_trace(std::size_t jobs) {
       job.submit = rng.uniform_int(0, 3600);
       // Widths uniform over [1, 96] of the 128-node machine: wide jobs are
       // deliberately over-represented vs real traces so every replan has to
-      // re-seat work across large reservations (the profile-stressing case
-      // the gap_index_threshold sweep was tuned on).
+      // re-seat work across large reservations (the profile-stressing case).
       job.nodes = static_cast<NodeCount>(rng.uniform_int(1, 96));
       job.runtime = rng.uniform_int(120, 4000);
       job.wcl = job.runtime + rng.uniform_int(0, 2000);
@@ -93,8 +89,7 @@ const Workload& deep_burst_trace(std::size_t jobs) {
   return it->second;
 }
 
-void run_deep_queue_bench(benchmark::State& state, PolicyKind kind, std::size_t threshold) {
-  Profile::ThresholdGuard guard(threshold);
+void run_deep_queue_bench(benchmark::State& state, PolicyKind kind) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   const Workload& trace = deep_burst_trace(jobs);
   for (auto _ : state) {
@@ -108,44 +103,24 @@ void run_deep_queue_bench(benchmark::State& state, PolicyKind kind, std::size_t 
 }
 
 void BM_SimConservativeDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::Conservative, Profile::gap_index_threshold());
-}
-void BM_RefSimConservativeDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::Conservative, Profile::kDisableIndex);
+  run_deep_queue_bench(state, PolicyKind::Conservative);
 }
 void BM_SimConservativeDynamicDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::ConservativeDynamic, Profile::gap_index_threshold());
-}
-void BM_RefSimConservativeDynamicDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::ConservativeDynamic, Profile::kDisableIndex);
+  run_deep_queue_bench(state, PolicyKind::ConservativeDynamic);
 }
 void BM_SimCplantDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::Cplant, Profile::gap_index_threshold());
-}
-void BM_RefSimCplantDeepQueue(benchmark::State& state) {
-  run_deep_queue_bench(state, PolicyKind::Cplant, Profile::kDisableIndex);
+  run_deep_queue_bench(state, PolicyKind::Cplant);
 }
 
-// Depths bracket the measured crossover (the default
-// Profile::gap_index_threshold() of 2048 breakpoints ≈ a ~1000-job plan):
-// at 2000 the index engages part-time (the pairs document ~parity), at
-// 4000+ it pays increasingly. Static conservative at 10000 is omitted — a
-// single linear-scan iteration runs for many minutes; the dynamic pair
-// carries the 10k+ acceptance point end to end, and perf_profile's
-// BM_ProfilePack*/16384 pair carries it at the profile level.
+// Static conservative at 10000 is omitted: a single iteration runs for many
+// minutes. The dynamic case carries the 10k+ point end to end, and
+// perf_profile's BM_ProfilePack/16384 carries it at the profile level.
 BENCHMARK(BM_SimConservativeDeepQueue)->Arg(2000)->Arg(4000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RefSimConservativeDeepQueue)->Arg(2000)->Arg(4000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimConservativeDynamicDeepQueue)
     ->Arg(2000)
     ->Arg(4000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RefSimConservativeDynamicDeepQueue)
-    ->Arg(2000)
-    ->Arg(4000)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimCplantDeepQueue)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RefSimCplantDeepQueue)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

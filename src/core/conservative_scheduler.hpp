@@ -42,10 +42,10 @@ class ConservativeScheduler final : public Scheduler {
   void collect_starts(std::vector<JobId>& starts) override;
   std::optional<Time> next_wakeup() const override;
   /// Copies the whole incremental-planning state — the persistent plan
-  /// `Profile` (with its live gap index; Profile's value semantics are
-  /// pinned by ProfileDeep.CopyMidDirty*), reservations, pending event
-  /// queues and the fixed-point compression flags — so a fork replans
-  /// byte-identically to the original from the clone point on.
+  /// `Profile` (its value semantics are pinned by
+  /// ProfileDeep.CopyIsIndependentAndMatchesReference), reservations,
+  /// pending event queues and the fixed-point compression flags — so a fork
+  /// replans byte-identically to the original from the clone point on.
   std::unique_ptr<Scheduler> clone() const override { return cloned(*this); }
 
  private:

@@ -138,6 +138,9 @@ FstResult cons_p_fst(const SimulationResult& result, const FstOptions& options) 
   // Perfect estimates make conservative backfilling one-shot: each arriving
   // job takes the earliest hole and never moves (nobody ever finishes early,
   // so no compression is possible). Insert records in submit order (FCFS).
+  // Nothing after a job's submit ever looks before it, so the profile slides
+  // its origin to each submit: the plan then holds only reservations still
+  // in the future, not the whole trace's history.
   std::vector<const JobRecord*> order;
   order.reserve(n);
   for (const JobRecord& r : result.records) order.push_back(&r);
@@ -148,6 +151,7 @@ FstResult cons_p_fst(const SimulationResult& result, const FstOptions& options) 
 
   Profile profile(result.system_size, order.front()->job.submit);
   for (const JobRecord* r : order) {
+    profile.advance_origin(r->job.submit);
     const Time start = profile.earliest_fit(r->job.submit, r->job.runtime, r->job.nodes);
     profile.add_usage(start, start + r->job.runtime, r->job.nodes);
     fst.fair_start[static_cast<std::size_t>(r->job.id)] = start;

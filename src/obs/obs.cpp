@@ -30,7 +30,6 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"scheduler.replan_incremental", true},
     {"profile.gap_index.probes", true},
     {"profile.gap_index.skips", true},
-    {"profile.gap_index.credit_earned", true},
     {"fst.forks", true},
     {"fst.forks_drained", true},
     {"fst.resolved_from_master", true},

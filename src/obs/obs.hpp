@@ -13,8 +13,8 @@
 //
 // Counters come in two classes, split in every dump:
 //   * deterministic — byte-reproducible at any --jobs level (engine event
-//     counts, replans, gap-index probes, fork counts, cache misses, journal
-//     appends, store writes): sums of per-cell-deterministic quantities,
+//     counts, replans, fork counts, cache misses, journal appends, store
+//     writes): sums of per-cell-deterministic quantities,
 //     commutative across lanes.
 //   * scheduling — a function of how work landed on threads (pool task
 //     counts, queue high-water, cache hit/wait split, retry reissues, peak
@@ -50,9 +50,8 @@ enum class Counter : std::size_t {
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
-  kGapIndexProbes,              ///< core/profile.cpp: bucket-index probes taken
-  kGapIndexSkips,               ///< core/profile.cpp: probe runs long enough to jump
-  kGapIndexCreditEarned,        ///< core/profile.cpp: probe credit granted (pre-cap)
+  kGapIndexProbes,              ///< no increment site; kept for perfbench's schema
+  kGapIndexSkips,               ///< no increment site; kept for perfbench's schema
   kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
   kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start
   kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: forks answered without draining

@@ -132,22 +132,16 @@ CampaignPlan expand_campaign(const ScenarioSpec& spec) {
 }
 
 Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
-                        workload::SwfReadResult* swf_info, SwfReaderKind reader) {
+                        workload::SwfReadResult* swf_info) {
   Workload trace;
-  bool head_applied = false;
   if (spec.source == WorkloadSpec::Source::Swf) {
     workload::SwfReadOptions options;
     if (spec.swf_accept_all_statuses) options.accepted_statuses.clear();
     // The streaming reader takes the head cap inside the scan, bounding peak
     // memory at O(head + chunk); the result (workload, counters, sizing) is
-    // byte-identical to eager read + head truncation, so the reader choice
-    // can never change a results store.
-    workload::SwfReadResult read =
-        reader == SwfReaderKind::Streaming
-            ? workload::read_swf_file_streaming(spec.swf_file, spec.system_size, options,
-                                                spec.head)
-            : workload::read_swf_file(spec.swf_file, spec.system_size, options);
-    head_applied = reader == SwfReaderKind::Streaming;
+    // byte-identical to eager read + head truncation (tests pin it).
+    workload::SwfReadResult read = workload::read_swf_file_streaming(
+        spec.swf_file, spec.system_size, options, spec.head);
     trace = read.workload;  // a view bump: the job table stays shared
     if (swf_info != nullptr) *swf_info = std::move(read);
   } else {
@@ -162,8 +156,8 @@ Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
           weeks(4),
           static_cast<Time>(static_cast<double>(workload::kRossTraceSpan) * spec.scale));
     trace = workload::generate_ross_workload(generator);
+    if (spec.head > 0) trace = workload::head(trace, spec.head);
   }
-  if (spec.head > 0 && !head_applied) trace = workload::head(trace, spec.head);
   if (spec.rescale_load != 1.0) trace = workload::rescale_load(trace, spec.rescale_load);
   if (spec.estimate_factor > 0.0)
     trace = workload::with_estimate_factor(trace, spec.estimate_factor);
@@ -190,9 +184,8 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     if (obs::armed()) build_span.set_arg("seed=" + std::to_string(seed));
     workload::SwfReadResult swf_info;
     const bool want_swf = spec.workload.source == WorkloadSpec::Source::Swf && !result.swf_info;
-    workloads.emplace_back(seed, build_workload(spec.workload, seed,
-                                                want_swf ? &swf_info : nullptr,
-                                                options.swf_reader));
+    workloads.emplace_back(seed,
+                           build_workload(spec.workload, seed, want_swf ? &swf_info : nullptr));
     if (want_swf) result.swf_info = std::move(swf_info);
     workload_fps.push_back(workload_fingerprint(workloads.back().second));
     CampaignResult::TraceInfo info;

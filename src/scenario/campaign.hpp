@@ -135,15 +135,6 @@ struct CampaignResult {
   std::size_t count(CellStatus status) const;
 };
 
-/// Which SWF ingestion path reads a spec's trace. Both produce byte-identical
-/// workloads, counters and sizing (tests pin it); they differ only in peak
-/// memory — Streaming with a `head` cap holds O(head + chunk) jobs while
-/// Eager materializes the whole trace before truncating.
-enum class SwfReaderKind {
-  Eager,      ///< workload::read_swf_file + head transform
-  Streaming,  ///< workload::read_swf_file_streaming with head pushed into the scan
-};
-
 struct CampaignOptions {
   /// Concurrent simulations per policy sweep: 0 = global pool size,
   /// 1 = serial. Results identical either way.
@@ -166,16 +157,14 @@ struct CampaignOptions {
   /// cells start, in-flight cells cancel at their next event boundary, and
   /// the result is marked `interrupted`.
   util::StopToken stop;
-  /// SWF ingestion path (byte-identical stores either way; see SwfReaderKind).
-  SwfReaderKind swf_reader = SwfReaderKind::Streaming;
 };
 
 /// Build the workload a spec describes for one replicate seed (the Ross
 /// generator path mirrors psched_run's span scaling so spec runs reproduce
-/// CLI/figure-binary traces exactly). Exposed for tests and tooling.
+/// CLI/figure-binary traces exactly; an SWF trace is read by the streaming
+/// reader with the head cap inside the scan). Exposed for tests and tooling.
 Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
-                        workload::SwfReadResult* swf_info = nullptr,
-                        SwfReaderKind reader = SwfReaderKind::Eager);
+                        workload::SwfReadResult* swf_info = nullptr);
 
 /// Run the whole campaign. Throws on unresolvable specs, journal corruption
 /// or resume mismatches; per-cell simulation failures do NOT throw — they

@@ -65,6 +65,22 @@ inline SimulationResult run_policy(const Workload& workload, PolicyKind kind,
   return sim::simulate(workload, config);
 }
 
+/// Field-by-field workload equality — the byte-identity the streaming SWF
+/// reader promises against the eager one.
+inline void expect_same_jobs(const Workload& a, const Workload& b) {
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  EXPECT_EQ(a.system_size, b.system_size);
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    EXPECT_EQ(a.jobs[i].id, b.jobs[i].id) << "job " << i;
+    EXPECT_EQ(a.jobs[i].submit, b.jobs[i].submit) << "job " << i;
+    EXPECT_EQ(a.jobs[i].runtime, b.jobs[i].runtime) << "job " << i;
+    EXPECT_EQ(a.jobs[i].wcl, b.jobs[i].wcl) << "job " << i;
+    EXPECT_EQ(a.jobs[i].nodes, b.jobs[i].nodes) << "job " << i;
+    EXPECT_EQ(a.jobs[i].user, b.jobs[i].user) << "job " << i;
+    EXPECT_EQ(a.jobs[i].group, b.jobs[i].group) << "job " << i;
+  }
+}
+
 /// No record may over-allocate the machine at any instant.
 inline void expect_no_overallocation(const SimulationResult& result) {
   // Sweep start/finish events.

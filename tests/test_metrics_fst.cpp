@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
@@ -159,6 +160,27 @@ TEST(ConsPFst, MeasuresDeviationFromConservativeIdeal) {
   // The metric is defined for every record and non-negative.
   for (const Time m : f.miss) EXPECT_GE(m, 0);
   EXPECT_EQ(f.fair_start.size(), r.records.size());
+}
+
+TEST(ConsPFst, SlidingOriginMatchesReferenceInsertion) {
+  // cons_p_fst slides its profile's origin to each submit. The seed profile,
+  // which keeps the whole history, must seat every job at the same instant.
+  // A normalized workload's records are already in (submit, id) order.
+  const Workload w = psched::workload::generate_small_workload(67, 4000, 128, days(40));
+  const SimulationResult r = run_policy(w, PolicyKind::Fcfs);
+  const FstResult f = cons_p_fst(r, strict());
+
+  reference::ReferenceProfile profile(r.system_size, r.records.front().job.submit);
+  std::size_t delayed = 0;
+  for (const JobRecord& rec : r.records) {
+    const Job& job = rec.job;
+    const Time start = profile.earliest_fit(job.submit, job.runtime, job.nodes);
+    profile.add_usage(start, start + job.runtime, job.nodes);
+    ASSERT_EQ(f.fair_start[static_cast<std::size_t>(job.id)], start) << "job " << job.id;
+    if (start > job.submit) ++delayed;
+  }
+  // The trace is loaded enough that the plan, not just the submit, decides.
+  EXPECT_GT(delayed, r.records.size() / 10);
 }
 
 }  // namespace

@@ -205,8 +205,8 @@ TEST_F(ObsTest, ArmedCountersAccumulateAndGaugesTakeTheMax) {
 TEST_F(ObsTest, ConcurrentIncrementsAreExact) {
   obs::arm();
   constexpr std::size_t kIters = 20000;
-  util::parallel_for(kIters, [](std::size_t) { obs::count(Counter::kGapIndexProbes); });
-  EXPECT_EQ(obs::counter_value(Counter::kGapIndexProbes), kIters);
+  util::parallel_for(kIters, [](std::size_t) { obs::count(Counter::kEngineEventsDelivered); });
+  EXPECT_EQ(obs::counter_value(Counter::kEngineEventsDelivered), kIters);
 }
 
 TEST_F(ObsTest, CounterDumpSplitsTheTwoClasses) {

@@ -6,7 +6,7 @@ stdout (the "subsystem counters" table) and DIR/summary.json (the armed
 "breakdown" block). Output is one line per deterministic-class counter,
 then one line per cell with its events_delivered and scheduler_invocations.
 Every value is exact and independent of --jobs, so the output is diffed
-verbatim against a committed snapshot (tests/data/fig14_smoke.counters):
+verbatim against a committed snapshot (tests/data/*_smoke.counters):
 a cost blow-up such as a timer storm fails the gate instead of waiting for
 someone to read a wall-clock number.
 

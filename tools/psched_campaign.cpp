@@ -15,11 +15,6 @@
 //     --wall-budget S  stop the whole campaign after S seconds (interrupted)
 //     --keep-going     keep scheduling cells after a failed cell (default:
 //                      halt; already-running cells still finish either way)
-//     --swf-reader R   SWF ingestion path for swf-sourced specs: "streaming"
-//                      (default; O(head + chunk) peak memory, archive-scale)
-//                      or "eager" (whole trace materialized). The results
-//                      store is byte-identical either way — the flag trades
-//                      memory, never output
 //     --dry-run        parse the spec, print the expanded cell plan, and exit
 //     --csv            print stdout tables as CSV instead of aligned text
 //     --trace FILE     arm the observability layer and export a Chrome
@@ -92,7 +87,6 @@ void print_usage() {
       "  --cell-timeout S cancel a cell after S seconds -> timeout status row\n"
       "  --wall-budget S  stop the campaign after S seconds -> interrupted store\n"
       "  --keep-going     keep scheduling cells after a failure (default: halt)\n"
-      "  --swf-reader R   streaming (default) or eager SWF ingestion; identical stores\n"
       "  --dry-run        print the expanded cell plan without simulating\n"
       "  --csv            CSV tables on stdout\n"
       "  --trace FILE     export a Perfetto/Chrome trace-event JSON to FILE\n"
@@ -154,14 +148,6 @@ int main(int argc, char** argv) {
       wall_budget = parse_seconds(arg, next());
     } else if (arg == "--keep-going") {
       options.keep_going = true;
-    } else if (arg == "--swf-reader") {
-      const std::string reader = next();
-      if (reader == "streaming")
-        options.swf_reader = scenario::SwfReaderKind::Streaming;
-      else if (reader == "eager")
-        options.swf_reader = scenario::SwfReaderKind::Eager;
-      else
-        fail("--swf-reader wants 'streaming' or 'eager', got '" + reader + "'");
     } else if (arg == "--dry-run") {
       dry_run = true;
     } else if (arg == "--csv") {

@@ -12,11 +12,11 @@
 # tools/run_tsan.sh is the sibling data-race pass over the same concurrency.
 #
 # Deep-queue cases: perf_profile's BM_ProfilePack*/BM_ProfileEarliestFitDeep
-# and perf_schedulers' BM_*DeepQueue families measure the gap-indexed
-# profile on 10k+ reservation plans (for the *DeepQueue pairs, BM_RefSim* is
-# the same scheduler with the gap index disabled, i.e. the linear-scan
-# profile). The conservative deep sims run minutes-long single iterations on
-# a slow host — budget ~10 minutes for a full refresh.
+# and perf_schedulers' BM_Sim*DeepQueue family measure the profile's linear
+# scan on plans of thousands of reservations (the profile-level cases against
+# the seed implementation; the *DeepQueue sims have no reference twin). The
+# conservative deep sims run minutes-long single iterations on a slow host —
+# budget ~10 minutes for a full refresh.
 #
 # Policy-FST pair (BENCH_fst.json): perf_fst's BM_PolicyFstForked (one pass
 # over the trace + a fork per arrival) vs BM_RefPolicyFstNaive (the preserved

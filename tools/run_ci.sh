@@ -9,8 +9,8 @@
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
 #        trace), checked for a non-empty results store
 #     6. a counter gate: the deterministic work counters (events, scheduler
-#        invocations, replans, per cell) of the fig14 example campaign must
-#        equal tests/data/fig14_smoke.counters exactly
+#        invocations, replans, per cell) of each example campaign must equal
+#        its committed tests/data/<name>_smoke.counters exactly
 #     7. a kill-and-resume smoke: SIGKILL the campaign mid-cell (a
 #        PSCHED_FAULTS-injected hang), then --resume and require the results
 #        store to be byte-identical to the uninterrupted run in step 5
@@ -20,8 +20,7 @@
 #        fail-loud trichotomy with byte-identical recovered stores
 #     9. an archive-scale replay smoke: a ~50k-job synthetic trace exported
 #        to SWF and replayed through a campaign with the forked
-#        (policy-knowledge) FST under a wall budget, with the eager- and
-#        streaming-reader stores diffed byte-for-byte
+#        (policy-knowledge) FST under a wall budget
 #    10. the campaign benchmark's smoke: perfbench/run.py builds its own
 #        harness against the library (so a break in the Scheduler interface
 #        its timing decorator overrides fails here, not at benchmark time)
@@ -91,17 +90,21 @@ run_tier1() {
     --require-spans campaign,workload-build,group,sweep,cell,store-write \
     --require-counters
 
-  echo "== counter gate: fig14 example campaign =="
+  echo "== counter gate: example campaigns =="
   # Deterministic counters are exact and independent of --jobs, so a cost
   # blow-up (a timer storm, a replan regression) fails here instead of
-  # hiding in wall time. A deliberate change regenerates the file with these
-  # two commands and records the before/after counts in CHANGES.md.
-  COUNTER_OUT="$BUILD/counter-gate"
-  rm -rf "$COUNTER_OUT" "$COUNTER_OUT.txt"
-  "$BUILD"/psched_campaign examples/campaigns/fig14_all_policies.spec --stats --jobs 1 \
-    --out "$COUNTER_OUT" > "$COUNTER_OUT.txt"
-  python3 tools/counter_snapshot.py "$COUNTER_OUT.txt" "$COUNTER_OUT/summary.json" \
-    | diff -u tests/data/fig14_smoke.counters -
+  # hiding in wall time. A deliberate change regenerates a snapshot with the
+  # two commands in the loop body and records the before/after counts in
+  # CHANGES.md.
+  for NAME in fig14_all_policies:fig14 swf_replay:swf_replay \
+              load_sweep_multiseed:load_sweep_multiseed; do
+    SPEC="examples/campaigns/${NAME%%:*}.spec"
+    COUNTER_OUT="$BUILD/counter-gate-${NAME##*:}"
+    rm -rf "$COUNTER_OUT" "$COUNTER_OUT.txt"
+    "$BUILD"/psched_campaign "$SPEC" --stats --jobs 1 --out "$COUNTER_OUT" > "$COUNTER_OUT.txt"
+    python3 tools/counter_snapshot.py "$COUNTER_OUT.txt" "$COUNTER_OUT/summary.json" \
+      | diff -u "tests/data/${NAME##*:}_smoke.counters" -
+  done
 
   echo "== campaign kill-and-resume smoke =="
   # Hang the second cell, SIGKILL the process once the first cell's journal
@@ -141,8 +144,8 @@ run_tier1() {
   # scale 3.8 condenses ~3.8x the Ross trace into the same span, so the spec
   # stretches arrivals back (rescale_load 0.26) to keep the queue realistic.
   # --wall-budget is the perf guard: blowing it exits 4 (interrupted store)
-  # and fails the gate. The uncontended run takes ~15s per reader; 180s
-  # leaves ~10x headroom for slow CI hosts.
+  # and fails the gate. The uncontended run takes ~15s; 180s leaves ~10x
+  # headroom for slow CI hosts.
   ARCHIVE_OUT="$BUILD/archive-smoke"
   rm -rf "$ARCHIVE_OUT"
   mkdir -p "$ARCHIVE_OUT"
@@ -162,15 +165,10 @@ rescale_load = 0.26
 [policies]
 names = cplant24.nomax.all
 SPEC
-  # Same spec through both ingestion paths; the stores must match bytewise.
-  "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" --out "$ARCHIVE_OUT/streaming" \
-    --swf-reader streaming --jobs 1 --wall-budget 180 >/dev/null
-  "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" --out "$ARCHIVE_OUT/eager" \
-    --swf-reader eager --jobs 1 --wall-budget 180 >/dev/null
-  cmp "$ARCHIVE_OUT/streaming/cells.csv" "$ARCHIVE_OUT/eager/cells.csv"
-  cmp "$ARCHIVE_OUT/streaming/summary.json" "$ARCHIVE_OUT/eager/summary.json"
+  "$BUILD"/psched_campaign "$ARCHIVE_OUT/archive.spec" --out "$ARCHIVE_OUT/store" \
+    --jobs 1 --wall-budget 180 >/dev/null
   # The forked FST actually ran: its metric columns are in the store.
-  grep -q "policy_percent_unfair" "$ARCHIVE_OUT/streaming/cells.csv"
+  grep -q "policy_percent_unfair" "$ARCHIVE_OUT/store/cells.csv"
 
   echo "== campaign benchmark smoke =="
   # Builds perfbench's harness (into .bench_build/) and runs every workload
