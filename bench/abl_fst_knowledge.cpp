@@ -4,10 +4,11 @@
 // estimates reproduce the paper's ordering. A third reference joins them:
 // the policy-knowledge FST of Sabin et al. ("no later arrivals" under the
 // actual policy), computed with the forked simulation engine — one pass plus
-// a per-arrival fork (sim/policy_fst.hpp) instead of the seed's O(n^2)
-// truncated re-simulations, which made this column unaffordable at trace
-// scale. The maximum-runtime variant has no per-original start under
-// segmentation, so the policy rows cover the nomax policies only.
+// a fork per job still waiting at the next arrival (sim/policy_fst.hpp)
+// instead of the seed's O(n^2) truncated re-simulations, which made this
+// column unaffordable at trace scale. The maximum-runtime variant has no
+// per-original start under segmentation, so the policy rows cover the nomax
+// policies only.
 
 #include <iostream>
 

@@ -3,7 +3,8 @@
 // metric), the CONS_P FST of Srinivasan et al., and the per-policy
 // "no later arrivals" FST of Sabin et al. — plus the resource-equality
 // metric. The Sabin variant runs on the forked simulation engine (one pass
-// plus a per-arrival fork) instead of the historical O(n^2) per-job
+// plus a fork per job still waiting at the next arrival) instead of the
+// historical O(n^2) per-job
 // re-simulation, so it is no longer restricted to toy traces.
 
 #include <iostream>

@@ -52,9 +52,9 @@ enum class Counter : std::size_t {
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kGapIndexProbes,              ///< no increment site; kept for perfbench's schema
   kGapIndexSkips,               ///< no increment site; kept for perfbench's schema
-  kFstForks,                    ///< sim/policy_fst.cpp: forks taken by the master pass
-  kFstForksDrained,             ///< sim/policy_fst.cpp: forks drained to their start
-  kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: forks answered without draining
+  kFstForks,                    ///< sim/policy_fst.cpp: jobs answered (one per job)
+  kFstForksDrained,             ///< sim/policy_fst.cpp: jobs answered by a drained fork
+  kFstResolvedFromMaster,       ///< sim/policy_fst.cpp: jobs answered by their master start
   kExperimentCacheMisses,       ///< sim/experiment.cpp: configs that became the flight
   kJournalAppends,              ///< scenario/journal.cpp: fsynced journal lines
   kStoreAtomicWrites,           ///< util/atomic_file.cpp: atomic_write_file calls

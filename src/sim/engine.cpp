@@ -67,6 +67,7 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
       system_size_(other.system_size_),
       free_nodes_(other.free_nodes_),
       now_(other.now_),
+      pass_owed_(other.pass_owed_),
       ran_(true),
       events_(other.events_),
       pending_timers_(other.pending_timers_),
@@ -95,6 +96,8 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
   fork_waiting_pos_.reserve(waiting_.size());
   for (std::size_t pos = 0; pos < waiting_.size(); ++pos)
     fork_waiting_pos_[waiting_[pos]] = static_cast<std::int32_t>(pos);
+  if (const Time start = other.record_start(target); start != kNoTime)
+    fork_starts_[target] = start;  // forked at target + 1's hook, already started
 }
 
 std::unique_ptr<SimulationEngine> SimulationEngine::fork_for_arrival(JobId target) const {
@@ -104,14 +107,16 @@ std::unique_ptr<SimulationEngine> SimulationEngine::fork_for_arrival(JobId targe
         "workload-index identity forks rely on");
   if (target < 0 || static_cast<std::size_t>(target) >= result_.records.size())
     throw std::out_of_range("SimulationEngine::fork_for_arrival: unknown record id");
-  // The state-equivalence argument holds exactly when the target's arrival
-  // is the next pending event (the hook fires there); forking any other id
-  // would silently yield a start from the wrong universe, so check it.
+  // The state-equivalence argument holds exactly while the next pending
+  // event is the arrival of the target or of the job after it (the hook
+  // fires there); forking any other id would silently yield a start from
+  // the wrong universe, so check it.
   const std::optional<PendingEvent> pending = peek_event();
-  if (!pending || pending->event.kind != EventKind::Arrive || pending->event.id != target)
+  if (!pending || pending->event.kind != EventKind::Arrive ||
+      (pending->event.id != target && pending->event.id != target + 1))
     throw std::logic_error(
         "SimulationEngine::fork_for_arrival: only valid from inside the arrival hook for the "
-        "target (its arrival must be the next pending event)");
+        "target or the job after it (that arrival must be the next pending event)");
   return std::unique_ptr<SimulationEngine>(new SimulationEngine(*this, target));
 }
 
@@ -386,14 +391,14 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
   } flush{&result_};
 
   std::vector<JobId> starts;
-  std::optional<PendingEvent> pending;
-  while ((pending = peek_event())) {
+  std::optional<PendingEvent> pending = peek_event();
+  while (pending || pass_owed_) {
     // Cooperative cancellation at the event boundary: engine state here is a
     // consistent between-events snapshot, so a cancelled run can be thrown
     // away without ever exposing a torn result.
     if (config_.stop.stop_requested()) throw SimulationCancelled(config_.stop.reason());
-    const Time t = pending->event.at;
-    advance_accounting(t);
+    // A fork taken mid-instant first finishes the master's instant at now_.
+    const Time t = pass_owed_ ? now_ : pending->event.at;
 
     // Drain every event at this instant; completions sort before arrivals,
     // and chained segment arrivals pushed "now" are picked up here too.
@@ -401,8 +406,15 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
       const Event event = pending->event;
       // The hook fires with the arrival still pending: nothing of this (or
       // any later) job has touched the engine yet, so a fork taken here is
-      // byte-identical to a run over the workload truncated after event.id.
+      // byte-identical to a run over the workload truncated after event.id
+      // (or, for its predecessor, after event.id - 1). Accounting advances
+      // only after it, at the instant's first consumed event, so a fork
+      // taken before that holds the settled state of the previous instant.
       if (hook != nullptr && event.kind == EventKind::Arrive) (*hook)(event.id);
+      if (!pass_owed_) {
+        advance_accounting(t);
+        pass_owed_ = true;
+      }
       consume_event(*pending);
       ++flush.events;
       switch (event.kind) {
@@ -428,6 +440,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
     }
 
     starts.clear();
+    pass_owed_ = false;
     scheduler_->collect_starts(starts);
     ++flush.invocations;
     for (const JobId id : starts) start_job(id);
@@ -436,6 +449,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
 
     if (const std::optional<Time> wake = scheduler_->next_wakeup(); wake && !waiting_.empty())
       schedule_timer(*wake);
+    pending = peek_event();
   }
 }
 

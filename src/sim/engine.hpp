@@ -110,16 +110,18 @@ class SimulationEngine final : public SchedulerContext {
   //
   // In an event-driven simulation the engine state at job i's arrival is
   // identical whether or not jobs i+1..n exist: arrival events are ordered by
-  // (submit, record id) and the workload is sorted the same way, so when job
-  // i's arrival is the next event to deliver, no later job has touched any
-  // state yet. A fork taken at that instant therefore resumes as if the
+  // (submit, record id) and the workload is sorted the same way, so until job
+  // i+1's arrival is delivered, no later job has touched any state. A fork
+  // taken at the hook of arrival i or i+1 therefore resumes as if the
   // workload had been truncated after job i — which turns the O(n^2)
   // "re-simulate the truncated workload per job" fair-start-time metric into
-  // one full pass plus a cheap per-arrival fork (sim/policy_fst.hpp).
+  // one full pass plus a cheap fork per job still waiting when the next job
+  // arrives (sim/policy_fst.hpp).
 
-  /// Invoked immediately before an arrival event is delivered; the engine
-  /// state at that instant is byte-identical to a run over the workload
-  /// truncated after the arriving job (see above).
+  /// Invoked immediately before an arrival event is delivered, with nothing
+  /// of the arriving job (or any later one) in the engine yet. Other events
+  /// of the same instant may already be consumed, with that instant's
+  /// scheduling pass still owed; a fork taken here runs it first.
   using ArrivalHook = std::function<void(JobId)>;
 
   /// Like run(), but fires `hook` at every arrival. fork_for_arrival() is
@@ -134,9 +136,9 @@ class SimulationEngine final : public SchedulerContext {
   /// not a copy), start times land in a sparse per-fork overlay, and the
   /// seeded-arrival cursor is simply capped at `target`, so fork cost is
   /// independent of the arrival index. Only valid from inside an arrival
-  /// hook, at the hook invocation for `target`; requires no maximum-runtime
-  /// limit (record ids must equal workload indices) and a clone()-capable
-  /// scheduler.
+  /// hook, at the hook invocation for `target` or `target + 1`; requires no
+  /// maximum-runtime limit (record ids must equal workload indices) and a
+  /// clone()-capable scheduler.
   std::unique_ptr<SimulationEngine> fork_for_arrival(JobId target) const;
 
   /// Drain a fork until `target` starts and return its start time — the
@@ -145,9 +147,9 @@ class SimulationEngine final : public SchedulerContext {
   Time run_until_started(JobId target);
 
   /// Mid-run observer: the start time recorded for `id` so far (kNoTime if
-  /// it has not started yet). Lets the FST driver resolve forks whose target
-  /// provably started before the fork's universe diverged — i.e. before the
-  /// next arrival was delivered — without draining them.
+  /// it has not started yet). At the hook of arrival id+1 a recorded start
+  /// is id's start in the truncated universe, so the policy FST forks only
+  /// the jobs still waiting there.
   Time recorded_start(JobId id) const { return record_start(id); }
 
   /// Approximate bytes of fork-owned heap state (event heap, waiting/running
@@ -217,8 +219,10 @@ class SimulationEngine final : public SchedulerContext {
   std::int32_t waiting_pos_of(JobId id) const;
   void set_waiting_pos(JobId id, std::int32_t pos);
 
-  /// The shared event loop. `hook` (may be null) fires before each arrival;
-  /// when `run_until` is a valid record id the loop returns as soon as that
+  /// The shared event loop. It first finishes an instant that still owes
+  /// its pass (a fork taken mid-instant); `hook` (may be null) fires before
+  /// each arrival; when
+  /// `run_until` is a valid record id the loop returns as soon as that
   /// record has started (fork draining) instead of draining the heap.
   void run_loop(const ArrivalHook* hook, JobId run_until);
 
@@ -239,6 +243,9 @@ class SimulationEngine final : public SchedulerContext {
   NodeCount system_size_;
   NodeCount free_nodes_;
   Time now_ = 0;
+  /// Events at now_ consumed, scheduling pass not yet run. Set mid-instant,
+  /// cleared at collect_starts; a fork copies it and finishes the instant.
+  bool pass_owed_ = false;
   bool ran_ = false;
 
   std::vector<Event> events_;  ///< min-heap (std::push_heap/pop_heap, greater)

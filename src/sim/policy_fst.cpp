@@ -34,18 +34,16 @@ std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
   EngineConfig run = config;
   run.record_snapshots = false;
 
-  // One full pass: the master engine simulates the whole workload and forks
-  // itself at every arrival; each fork sees no later arrivals and is drained
-  // until its job starts. Forks are independent (they share only the
-  // read-only workload), so batches of them drain concurrently as leaf tasks
-  // — safe to help-drain from inside another pool task, and byte-identical
-  // to a serial drain (one integer write per fork, each to its own slot).
-  // The batch is bounded to keep peak memory at O(batch * engine) instead of
-  // accumulating all n forks.
-  // Serial draining uses the same bounded batch as parallel: deferring a
-  // fork's drain to a later hook lets the master answer it for free via the
-  // resolve-without-drain check below (draining inside the fork's own hook
-  // would find recorded_start still unset and always pay the full tail).
+  // One full pass: the master engine simulates the whole workload. At the
+  // hook of arrival i+1 nothing of jobs > i has touched it, so a start of
+  // job i recorded by then is already i's fair start; only a job still
+  // waiting there is forked (that fork sees no later arrivals) and drained
+  // until it starts. The last job's fair start is its master start. Forks
+  // are independent (they share only the read-only workload), so batches of
+  // them drain concurrently as leaf tasks — safe to help-drain from inside
+  // another pool task, and byte-identical to a serial drain (one integer
+  // write per fork, each to its own slot). The batch is bounded to keep
+  // peak memory at O(batch * engine) instead of accumulating the forks.
   std::vector<std::pair<JobId, std::unique_ptr<SimulationEngine>>> batch;
   const std::size_t batch_cap =
       options.fork_batch > 0
@@ -62,66 +60,46 @@ std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
   stats->fork_batch = batch_cap;
   const bool want_batch_bytes = options.stats != nullptr || obs::armed();
 
-  SimulationEngine master(workload, run);
-  const SimulationResult* master_result = nullptr;  // set once the pass ends
-
-  // A fork's universe diverges from the master only when the first later
-  // arrival is delivered — at jobs[target + 1].submit. A master start
-  // strictly before that instant was therefore decided in still-identical
-  // state and IS the fork's start: resolve it without draining. (The last
-  // job never diverges; its fork is always resolved from the master.)
-  const auto resolved_without_drain = [&](JobId target) {
-    const Time start = master_result != nullptr
-                           ? master_result->records[static_cast<std::size_t>(target)].start
-                           : master.recorded_start(target);
-    const auto next = static_cast<std::size_t>(target) + 1;
-    if (start == kNoTime || (next < n && start >= workload.jobs[next].submit))
-      return kNoTime;  // unknown or post-divergence: the fork must be drained
-    return start;
-  };
-
-  std::vector<std::size_t> pending;  // batch indices that genuinely need a drain
   const auto drain_batch = [&] {
     if (batch.empty()) return;
     obs::Span batch_span("fork-batch");
     if (obs::armed()) batch_span.set_arg(std::to_string(batch.size()) + " forks");
     if (want_batch_bytes) {
       // Peak engine-state memory this batch admitted: every fork in it is
-      // still alive here, before resolution frees any of them.
+      // still alive here, before any drain frees one.
       std::size_t batch_bytes = 0;
       for (const auto& entry : batch) batch_bytes += entry.second->fork_footprint_bytes();
       stats->peak_batch_bytes = std::max(stats->peak_batch_bytes, batch_bytes);
     }
-    pending.clear();
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const Time resolved = resolved_without_drain(batch[k].first);
-      if (resolved != kNoTime) {
-        fair_start[static_cast<std::size_t>(batch[k].first)] = resolved;
-        batch[k].second.reset();
-      } else {
-        pending.push_back(k);
-      }
-    }
-    const auto drain_one = [&](std::size_t p) {
-      auto& [target, fork] = batch[pending[p]];
+    const auto drain_one = [&](std::size_t k) {
+      auto& [target, fork] = batch[k];
       fair_start[static_cast<std::size_t>(target)] = fork->run_until_started(target);
       fork.reset();  // free the fork as soon as it is drained
     };
     if (options.parallel)
-      util::parallel_for(pending.size(), drain_one);
+      util::parallel_for(batch.size(), drain_one);
     else
-      for (std::size_t p = 0; p < pending.size(); ++p) drain_one(p);
-    stats->drained += pending.size();
-    stats->resolved_from_master += batch.size() - pending.size();
+      for (std::size_t k = 0; k < batch.size(); ++k) drain_one(k);
+    stats->drained += batch.size();
     batch.clear();
   };
 
-  const SimulationResult result = master.run_with_arrival_hook([&](JobId id) {
-    batch.emplace_back(id, master.fork_for_arrival(id));
+  SimulationEngine master(workload, run);
+  const SimulationResult result = master.run_with_arrival_hook([&](JobId next) {
+    if (next == 0) return;
+    const JobId target = next - 1;
+    const Time start = master.recorded_start(target);
+    if (start != kNoTime) {
+      fair_start[static_cast<std::size_t>(target)] = start;
+      ++stats->resolved_from_master;
+      return;
+    }
+    batch.emplace_back(target, master.fork_for_arrival(target));
     if (batch.size() >= batch_cap) drain_batch();
   });
-  master_result = &result;  // run() moved the records out of the engine
   drain_batch();
+  fair_start[n - 1] = result.records[n - 1].start;
+  ++stats->resolved_from_master;
   obs::count(obs::Counter::kFstForks, stats->forks);
   obs::count(obs::Counter::kFstForksDrained, stats->drained);
   obs::count(obs::Counter::kFstResolvedFromMaster, stats->resolved_from_master);

@@ -4,11 +4,12 @@
 // policy* on a universe where no later jobs ever arrive. Directly measures
 // whether later arrivals hurt the job.
 //
-// Computed with the forkable engine: ONE full simulation, forked at every
-// arrival (engine state at job i's arrival is identical whether or not jobs
-// i+1..n exist — see SimulationEngine::fork_for_arrival), each fork drained
-// with no further arrivals until its job starts. Cost is one pass plus the
-// fork tails instead of the seed's n truncated re-simulations (O(n^2)
+// Computed with the forkable engine: ONE full simulation. Until job i+1
+// arrives its state is identical whether or not jobs i+1..n exist (see
+// SimulationEngine::fork_for_arrival), so a job that started by then has
+// its fair start; only a job still waiting is forked there and drained with
+// no further arrivals until it starts. Cost is one pass plus those fork
+// tails instead of the seed's n truncated re-simulations (O(n^2)
 // simulated events); bench/perf_fst.cpp measures the pair
 // (BM_PolicyFstForked vs BM_RefPolicyFstNaive) and the win grows with trace
 // length. The naive re-simulation is preserved below as the behavioral
@@ -25,9 +26,9 @@ namespace psched::sim {
 /// caller wires PolicyFstOptions::stats. Deterministic for a given
 /// (workload, config, options) triple.
 struct PolicyFstStats {
-  std::size_t forks = 0;                  ///< forks taken (== job count)
-  std::size_t drained = 0;                ///< forks that paid a drain tail
-  std::size_t resolved_from_master = 0;   ///< answered free from the master pass
+  std::size_t forks = 0;                  ///< jobs answered (== job count)
+  std::size_t drained = 0;                ///< jobs answered by building and draining a fork
+  std::size_t resolved_from_master = 0;   ///< jobs answered by their master start, no fork
   std::size_t fork_batch = 0;             ///< the batch cap actually used
   /// Max over drain batches of the summed fork footprints
   /// (SimulationEngine::fork_footprint_bytes) alive at drain time — the

@@ -14,6 +14,7 @@
 
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::sim {
@@ -47,6 +48,29 @@ Workload with_underestimates(const Workload& workload) {
   return out;
 }
 
+/// Every submit, runtime and WCL is a multiple of 300 s (as is the one-day
+/// fairshare period), and about half the jobs share their submit second
+/// with the previous one, so completions, WCL checks and decay boundaries
+/// land exactly on arrivals. A fork taken at the next job's arrival hook is
+/// then often mid-instant: that instant's events are consumed and its
+/// scheduling pass is still owed. Every 3rd job underestimates its runtime.
+Workload grid_aligned_workload(std::uint64_t seed, std::size_t jobs = 90,
+                               NodeCount system_size = 64) {
+  constexpr Time kGrid = 300;
+  util::Rng rng(seed);
+  std::vector<Job> out;
+  Time submit = 0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    if (i > 0 && !rng.flip(0.5)) submit += kGrid * rng.uniform_int(1, 6);
+    const Time runtime = kGrid * rng.uniform_int(1, 36);
+    const Time wcl = i % 3 == 0 ? std::max(kGrid, runtime / (2 * kGrid) * kGrid)
+                                : runtime + kGrid * rng.uniform_int(0, 4);
+    const auto nodes = static_cast<NodeCount>(rng.uniform_int(1, system_size / 2));
+    out.push_back(test::make_job(submit, runtime, nodes, static_cast<UserId>(i % 5), wcl));
+  }
+  return test::make_workload(system_size, std::move(out));
+}
+
 TEST(PolicyFstFork, ByteIdenticalToNaiveForAllNinePolicies) {
   const PolicyFstOptions serial{.parallel = false};
   for (const std::uint64_t seed : {3ull, 17ull}) {
@@ -76,6 +100,60 @@ TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
       const std::vector<Time> forked = policy_no_later_arrivals_fst(w, config, serial);
       EXPECT_EQ(naive, forked) << "kind " << static_cast<int>(kind) << " mode "
                                << static_cast<int>(mode);
+    }
+  }
+}
+
+// Forks are taken at the next job's arrival hook, often mid-instant on this
+// grid: the fork must finish the master's instant (remaining WCL checks and
+// timers, then the owed scheduling pass) before it advances time.
+TEST(PolicyFstFork, ByteIdenticalToNaiveOnGridAlignedArrivals) {
+  const PolicyFstOptions serial{.parallel = false};
+  for (const std::uint64_t seed : {5ull, 23ull}) {
+    const Workload w = grid_aligned_workload(seed);
+    for (const PolicyConfig& policy : nine_policies_nomax()) {
+      for (const WclEnforcement mode :
+           {WclEnforcement::Never, WclEnforcement::KillIfNeeded, WclEnforcement::Always}) {
+        EngineConfig config;
+        config.policy = policy;
+        config.wcl_enforcement = mode;
+        EXPECT_EQ(policy_no_later_arrivals_fst_naive(w, config, serial),
+                  policy_no_later_arrivals_fst(w, config, serial))
+            << policy.display_name() << " mode " << static_cast<int>(mode) << " seed " << seed;
+      }
+    }
+  }
+}
+
+// One answer per job: a job that started before the next arrival is
+// answered by its master start, every other one by a drained fork, and the
+// serial and parallel drains count the same.
+TEST(PolicyFstFork, StatsCountOneDrainPerJobWaitingAtTheNextArrival) {
+  const Workload generated =
+      with_underestimates(workload::generate_small_workload(29, 300, 128, days(4)));
+  for (const Workload& w : {generated, grid_aligned_workload(5)}) {
+    const std::size_t n = w.jobs.size();
+    for (const PolicyKind kind : {PolicyKind::Cplant, PolicyKind::ConservativeDynamic}) {
+      EngineConfig config;
+      config.policy.kind = kind;
+      config.wcl_enforcement = WclEnforcement::KillIfNeeded;
+      const SimulationResult master = simulate(w, config);
+      std::size_t waiting_at_next_arrival = 0;
+      for (std::size_t i = 0; i + 1 < n; ++i)
+        if (master.records[i].start >= w.jobs[i + 1].submit) ++waiting_at_next_arrival;
+
+      PolicyFstStats serial;
+      PolicyFstStats parallel;
+      policy_no_later_arrivals_fst(w, config, {.parallel = false, .stats = &serial});
+      policy_no_later_arrivals_fst(w, config, {.parallel = true, .stats = &parallel});
+      for (const PolicyFstStats& stats : {serial, parallel}) {
+        EXPECT_EQ(stats.forks, n) << "kind " << static_cast<int>(kind);
+        EXPECT_EQ(stats.drained + stats.resolved_from_master, n);
+        EXPECT_EQ(stats.drained, waiting_at_next_arrival) << "kind " << static_cast<int>(kind);
+      }
+      EXPECT_GT(waiting_at_next_arrival, 0u) << "kind " << static_cast<int>(kind);
+      EXPECT_EQ(serial.drained, parallel.drained);
+      EXPECT_EQ(serial.resolved_from_master, parallel.resolved_from_master);
     }
   }
 }
@@ -179,6 +257,46 @@ TEST(PolicyFstFork, SingleForkMatchesTruncatedSimulation) {
     EXPECT_EQ(forked_start, oracle.records.at(static_cast<std::size_t>(target)).start)
         << "target " << target;
   }
+}
+
+// The policy FST's form: job i forked at the hook of arrival i + 1, where
+// the fork may be mid-instant and job i may already have started. Every
+// fork must still reproduce the truncated run's start of its target.
+TEST(PolicyFstFork, SingleForkAtNextArrivalMatchesTruncatedSimulation) {
+  const Workload w = grid_aligned_workload(41, 60, 48);
+  for (const PolicyKind kind : {PolicyKind::Cplant, PolicyKind::Conservative}) {
+    EngineConfig config;
+    config.policy.kind = kind;
+    config.wcl_enforcement = WclEnforcement::KillIfNeeded;
+    config.record_snapshots = false;
+
+    SimulationEngine master(w, config);
+    std::vector<Time> forked(w.jobs.size(), kNoTime);
+    const SimulationResult full = master.run_with_arrival_hook([&](JobId next) {
+      if (next > 0) forked[next - 1] = master.fork_for_arrival(next - 1)->run_until_started(next - 1);
+    });
+    forked.back() = full.records.back().start;
+    for (std::size_t i = 0; i < w.jobs.size(); ++i)
+      EXPECT_EQ(forked[i], simulate(w.truncate(i + 1), config).records.at(i).start)
+          << "kind " << static_cast<int>(kind) << " target " << i;
+  }
+}
+
+// The truncated-universe argument holds only while the target's own or its
+// successor's arrival is the next pending event.
+TEST(PolicyFstFork, ForkTwoArrivalsLateThrows) {
+  const Workload w = workload::generate_small_workload(7, 10, 16, days(1));
+  EngineConfig config;
+  SimulationEngine master(w, config);
+  master.run_with_arrival_hook([&](JobId next) {
+    EXPECT_NO_THROW(master.fork_for_arrival(next));
+    if (next >= 1) {
+      EXPECT_NO_THROW(master.fork_for_arrival(next - 1));
+    }
+    if (next >= 2) {
+      EXPECT_THROW(master.fork_for_arrival(next - 2), std::logic_error);
+    }
+  });
 }
 
 }  // namespace

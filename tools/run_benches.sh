@@ -19,9 +19,9 @@
 # budget ~10 minutes for a full refresh.
 #
 # Policy-FST pair (BENCH_fst.json): perf_fst's BM_PolicyFstForked (one pass
-# over the trace + a fork per arrival) vs BM_RefPolicyFstNaive (the preserved
-# seed path: one truncated re-simulation per job, O(n^2) simulated events) at
-# 1k and 5k jobs. The naive 5k case is a single minutes-long iteration —
+# over the trace + a fork per job still waiting at the next arrival) vs
+# BM_RefPolicyFstNaive (the preserved seed path: one truncated re-simulation
+# per job, O(n^2) simulated events) at 1k and 5k jobs. The naive 5k case is a single minutes-long iteration —
 # budget another ~5-10 minutes; the pair is what documents the forked
 # engine's speedup growing with trace length.
 #

@@ -9,8 +9,9 @@
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
 #        trace), checked for a non-empty results store
 #     6. a counter gate: the deterministic work counters (events, scheduler
-#        invocations, replans, per cell) of each example campaign must equal
-#        its committed tests/data/<name>_smoke.counters exactly
+#        invocations, replans, policy-FST forks and drains, per cell) of each
+#        example campaign must equal its committed
+#        tests/data/<name>_smoke.counters exactly
 #     7. a kill-and-resume smoke: SIGKILL the campaign mid-cell (a
 #        PSCHED_FAULTS-injected hang), then --resume and require the results
 #        store to be byte-identical to the uninterrupted run in step 5
@@ -97,7 +98,7 @@ run_tier1() {
   # two commands in the loop body and records the before/after counts in
   # CHANGES.md.
   for NAME in fig14_all_policies:fig14 swf_replay:swf_replay \
-              load_sweep_multiseed:load_sweep_multiseed; do
+              load_sweep_multiseed:load_sweep_multiseed policy_fst_smoke:policy_fst; do
     SPEC="examples/campaigns/${NAME%%:*}.spec"
     COUNTER_OUT="$BUILD/counter-gate-${NAME##*:}"
     rm -rf "$COUNTER_OUT" "$COUNTER_OUT.txt"
