@@ -39,7 +39,7 @@ void run_sweep(benchmark::State& state, std::size_t jobs) {
 void BM_RefExperimentSweep9(benchmark::State& state) { run_sweep(state, 1); }
 void BM_ExperimentSweep9(benchmark::State& state) { run_sweep(state, 0); }
 
-// 36 requests, 9 distinct: the warm path every figure binary leans on.
+// 36 requests, 9 distinct: the warm path of repeated policies in one process.
 void BM_ExperimentSweepDeduplicated(benchmark::State& state) {
   std::vector<PolicyConfig> policies;
   for (int repeat = 0; repeat < 4; ++repeat)

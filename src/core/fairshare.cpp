@@ -4,9 +4,8 @@
 
 namespace psched {
 
-FairshareTracker::FairshareTracker(double decay_factor, Time decay_period, Time start_time,
-                                   FairshareUpdate update)
-    : decay_factor_(decay_factor), decay_period_(decay_period), now_(start_time), update_(update) {
+FairshareTracker::FairshareTracker(double decay_factor, Time decay_period, Time start_time)
+    : decay_factor_(decay_factor), decay_period_(decay_period), now_(start_time) {
   if (!(decay_factor > 0.0) || decay_factor > 1.0)
     throw std::invalid_argument("FairshareTracker: decay_factor must be in (0, 1]");
   if (decay_period <= 0) throw std::invalid_argument("FairshareTracker: decay_period must be > 0");
@@ -60,9 +59,7 @@ void FairshareTracker::on_job_stop(UserId user, NodeCount nodes) {
 double FairshareTracker::usage(UserId user) const {
   if (user < 0) return 0.0;
   const auto index = static_cast<std::size_t>(user);
-  if (index >= users_.size()) return 0.0;
-  return update_ == FairshareUpdate::Continuous ? users_[index].usage
-                                                : users_[index].published;
+  return index < users_.size() ? users_[index].published : 0.0;
 }
 
 double FairshareTracker::live_usage(UserId user) const {
@@ -75,9 +72,8 @@ double FairshareTracker::mean_positive_usage() const {
   double total = 0.0;
   std::size_t count = 0;
   for (const UserState& u : users_) {
-    const double value = update_ == FairshareUpdate::Continuous ? u.usage : u.published;
-    if (value > 0.0) {
-      total += value;
+    if (u.published > 0.0) {
+      total += u.published;
       ++count;
     }
   }

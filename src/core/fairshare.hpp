@@ -7,7 +7,10 @@
 // The tracker accrues usage continuously while jobs run: the simulation
 // engine calls advance() at every event boundary, and the tracker integrates
 // running-processor counts over the elapsed interval, applying the decay at
-// each period boundary it crosses.
+// each period boundary it crosses. The *published* priority value refreshes
+// only at those boundaries, as production fairshare systems recompute
+// priorities on the decay schedule (a daily batch on CPlant), so queue order
+// is stable between refreshes.
 
 #include <cstddef>
 #include <vector>
@@ -16,19 +19,11 @@
 
 namespace psched {
 
-/// When the *published* priority value refreshes. Production fairshare
-/// systems recompute priorities on the decay schedule (a daily batch on
-/// CPlant), so queue order is stable between refreshes; Continuous updates
-/// the published value at every accrual instead (an idealized variant used
-/// by ablations).
-enum class FairshareUpdate { AtDecayBoundary, Continuous };
-
 class FairshareTracker {
  public:
   /// decay_factor in (0, 1]: multiplier applied to all usage at each period
   /// boundary (1.0 disables decay and degenerates to total historical usage).
-  FairshareTracker(double decay_factor, Time decay_period, Time start_time = 0,
-                   FairshareUpdate update = FairshareUpdate::AtDecayBoundary);
+  FairshareTracker(double decay_factor, Time decay_period, Time start_time = 0);
 
   /// Move the clock to `to` (>= now()): accrue usage for running processors
   /// and apply decay at each crossed period boundary.
@@ -41,16 +36,15 @@ class FairshareTracker {
   Time now() const { return now_; }
 
   /// Published decayed processor-seconds of `user` (the queuing priority
-  /// value; lower goes first). Unknown users have 0. Under AtDecayBoundary
-  /// this is the value computed at the most recent boundary; under
-  /// Continuous it tracks accrual instantly.
+  /// value; lower goes first), as computed at the most recent decay
+  /// boundary. Unknown users have 0.
   double usage(UserId user) const;
 
-  /// Instantaneous decayed usage regardless of update mode (metrics/tests).
+  /// Instantaneous decayed usage, accrued up to now() (metrics/tests).
   double live_usage(UserId user) const;
 
-  /// Mean usage over users with positive usage; 0 if none. Used by the
-  /// "bar heavy users from the starvation queue" policy.
+  /// Mean published usage over users with positive published usage; 0 if
+  /// none. Used by the "bar heavy users from the starvation queue" policy.
   double mean_positive_usage() const;
 
   /// Number of distinct users ever observed.
@@ -73,7 +67,6 @@ class FairshareTracker {
   Time decay_period_;
   Time now_;
   Time next_decay_;
-  FairshareUpdate update_;
   NodeCount total_running_ = 0;
   std::vector<UserState> users_;  // dense by UserId
 };

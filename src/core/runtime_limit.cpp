@@ -15,15 +15,13 @@ std::int32_t RuntimeLimiter::segment_count(const Job& original) const {
   return static_cast<std::int32_t>((original.runtime + max_runtime_ - 1) / max_runtime_);
 }
 
-Job RuntimeLimiter::make_segment(const Job& original, std::int32_t index, JobId id,
-                                 Time submit) const {
+Job RuntimeLimiter::make_segment(const Job& original, std::int32_t index, JobId id) const {
   const std::int32_t count = segment_count(original);
   if (index < 0 || index >= count) throw std::out_of_range("RuntimeLimiter: bad segment index");
   if (count == 1) {
-    // Unsplit: the job passes through with a fresh id / submit only.
+    // Unsplit: the job passes through with a fresh id only.
     Job job = original;
     job.id = id;
-    job.submit = submit;
     job.parent = original.id;
     job.segment = 0;
     job.segment_count = 1;
@@ -31,7 +29,6 @@ Job RuntimeLimiter::make_segment(const Job& original, std::int32_t index, JobId 
   }
   Job seg = original;
   seg.id = id;
-  seg.submit = submit;
   seg.parent = original.id;
   seg.segment = index;
   seg.segment_count = count;
@@ -41,28 +38,6 @@ Job RuntimeLimiter::make_segment(const Job& original, std::int32_t index, JobId 
   // A segment's WCL may never undercut its own runtime *knowledge* model —
   // users submit estimates, so we only enforce positivity, not accuracy.
   return seg;
-}
-
-std::optional<Job> RuntimeLimiter::next_segment(const Job& original, const Job& segment,
-                                                Time completion, JobId id) const {
-  const std::int32_t count = segment_count(original);
-  if (segment.segment + 1 >= count) return std::nullopt;
-  return make_segment(original, segment.segment + 1, id, completion);
-}
-
-Workload split_workload(const Workload& original, Time max_runtime) {
-  const RuntimeLimiter limiter(max_runtime);
-  WorkloadBuilder split;
-  split.system_size = original.system_size;
-  for (const Job& job : original.jobs) {
-    const std::int32_t count = limiter.segment_count(job);
-    for (std::int32_t s = 0; s < count; ++s)
-      split.jobs.push_back(limiter.make_segment(job, s, /*id=*/0, job.submit));
-  }
-  split.normalize();
-  Workload built = split.build();
-  built.validate();
-  return built;
 }
 
 }  // namespace psched

@@ -4,12 +4,10 @@
 // very coarse form of preemption. CPlant users already checkpointed, so the
 // paper treats the split as cheap.
 //
-// Segments are *chained*: segment k+1 is submitted the moment segment k
-// completes (you cannot restart from a checkpoint that does not exist yet).
-// The simulation engine drives this; the splitting arithmetic lives here so
-// it can be unit-tested in isolation.
-
-#include <optional>
+// As in the paper's trace preprocessing, every segment is submitted at the
+// original job's submit time, with no dependency between segments. The
+// simulation engine seeds the segments; the splitting arithmetic lives here
+// so it can be unit-tested in isolation.
 
 #include "core/job.hpp"
 #include "core/types.hpp"
@@ -27,32 +25,19 @@ class RuntimeLimiter {
   /// Number of segments `original` will be split into (1 = unsplit).
   std::int32_t segment_count(const Job& original) const;
 
-  /// Build segment `index` (0-based) of `original`, submitted at `submit`
-  /// with the fresh id `id`. Throws std::out_of_range for invalid index.
+  /// Build segment `index` (0-based) of `original` with the fresh id `id`,
+  /// submitted at the original's submit time. Throws std::out_of_range for
+  /// an invalid index.
   ///
   /// Runtime of segment k: min(max, runtime - k*max).
   /// WCL of segment k:     min(max, max(wcl - k*max, kMinSegmentWcl)), so
   /// under-estimating users still submit sane limits for trailing segments.
-  Job make_segment(const Job& original, std::int32_t index, JobId id, Time submit) const;
-
-  /// The segment to submit when `segment` (a segment of `original`)
-  /// completes at `completion`; nullopt when it was the last.
-  std::optional<Job> next_segment(const Job& original, const Job& segment, Time completion,
-                                  JobId id) const;
+  Job make_segment(const Job& original, std::int32_t index, JobId id) const;
 
   static constexpr Time kMinSegmentWcl = minutes(10);
 
  private:
   Time max_runtime_;
 };
-
-/// Trace-preprocessing form of the maximum-runtime policy (the paper's
-/// "breaking longer jobs up into several 72 hour segments"): every segment of
-/// every job is submitted at the original job's submit time, with no
-/// dependency between segments. Parent/segment fields link each segment to
-/// its original; ids are renumbered. This is how a trace-driven simulator
-/// applies the limit; the engine's Chained mode models checkpoint/restart
-/// instead (segment k+1 submitted when k completes).
-Workload split_workload(const Workload& original, Time max_runtime);
 
 }  // namespace psched

@@ -149,8 +149,8 @@ Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
     generator.seed = seed;
     generator.count_scale = spec.scale;
     if (spec.system_size > 0) generator.system_size = spec.system_size;
-    // Same span scaling as psched_run / the figure binaries, so a spec with
-    // matching (seed, scale) reproduces their trace byte-identically.
+    // Same span scaling as psched_run, so a spec with matching (seed, scale)
+    // reproduces its trace byte-identically.
     if (spec.scale < 1.0)
       generator.span = std::max<Time>(
           weeks(4),

@@ -161,7 +161,7 @@ struct CampaignOptions {
 
 /// Build the workload a spec describes for one replicate seed (the Ross
 /// generator path mirrors psched_run's span scaling so spec runs reproduce
-/// CLI/figure-binary traces exactly; an SWF trace is read by the streaming
+/// CLI traces exactly; an SWF trace is read by the streaming
 /// reader with the head cap inside the scan). Exposed for tests and tooling.
 Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
                         workload::SwfReadResult* swf_info = nullptr);

@@ -27,8 +27,7 @@ SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config
       limiter_(config_.policy.max_runtime),
       scheduler_(scheduler ? std::move(scheduler) : make_scheduler(config_.policy)),
       fairshare_(config_.fairshare_decay, kFairsharePeriod,
-                 workload.jobs.empty() ? 0 : workload.jobs.front().submit,
-                 config_.fairshare_update),
+                 workload.jobs.empty() ? 0 : workload.jobs.front().submit),
       system_size_(workload.system_size),
       free_nodes_(workload.system_size) {
   workload_.validate();
@@ -40,19 +39,21 @@ SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config
   result_.original_job_count = workload_.jobs.size();
   result_.segments_of_original.resize(workload_.jobs.size());
 
-  // Seed the record table: all segments up front in preprocessing mode, only
-  // segment 0 in chained (checkpoint/restart) mode. Their arrivals are NOT
-  // pushed onto the event heap — seeded records are already in (submit, id)
-  // order (segments inherit the original's submit; the workload is sorted),
-  // so the run loop walks them with a cursor instead. The heap stays
-  // O(queue) and a fork inherits the cursor, not O(trace) arrival events.
+  // Seed the record table with every segment up front. Their arrivals are
+  // NOT pushed onto the event heap — seeded records are already in
+  // (submit, id) order (segments inherit the original's submit; the workload
+  // is sorted), so the run loop walks them with a cursor instead. The heap
+  // stays O(queue) and a fork inherits the cursor, not O(trace) arrival
+  // events.
   for (const Job& original : workload_.jobs) {
-    const std::int32_t count = config_.segment_arrival == SegmentArrival::AtOriginalSubmit
-                                   ? limiter_.segment_count(original)
-                                   : 1;
+    const std::int32_t count = limiter_.segment_count(original);
     for (std::int32_t s = 0; s < count; ++s) {
-      const Job segment = limiter_.make_segment(original, s, /*id=*/0, original.submit);
-      add_record(segment);
+      const auto record_id = static_cast<JobId>(result_.records.size());
+      JobRecord record;
+      record.job = limiter_.make_segment(original, s, record_id);
+      result_.records.push_back(record);
+      result_.segments_of_original.at(static_cast<std::size_t>(original.id))
+          .push_back(record_id);
     }
   }
   seeded_end_ = static_cast<JobId>(result_.records.size());
@@ -87,8 +88,7 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
   // The fork's universe ends with job `target` — enforced by capping the
   // seeded-arrival cursor at target + 1 above, a constant-time operation
   // where trimming a record table used to cost O(target). The copied event
-  // heap holds only completions / WCL checks / timers (forks require no
-  // runtime limiter, so no chained arrivals can be pending): O(queue).
+  // heap holds only completions / WCL checks / timers: O(queue).
   //
   // Start times and waiting positions go to sparse overlays instead of the
   // master's dense per-record vectors; only the jobs currently in the queue
@@ -166,16 +166,6 @@ void SimulationEngine::set_waiting_pos(JobId id, std::int32_t pos) {
   waiting_pos_[static_cast<std::size_t>(id)] = pos;
 }
 
-JobId SimulationEngine::add_record(const Job& segment) {
-  const auto record_id = static_cast<JobId>(result_.records.size());
-  JobRecord record;
-  record.job = segment;
-  record.job.id = record_id;
-  result_.records.push_back(record);
-  result_.segments_of_original.at(static_cast<std::size_t>(segment.parent)).push_back(record_id);
-  return record_id;
-}
-
 void SimulationEngine::advance_accounting(Time to) {
   const Time dt = to - now_;
   if (dt > 0) {
@@ -229,8 +219,6 @@ void SimulationEngine::remove_waiting(JobId id) {
 }
 
 void SimulationEngine::deliver_arrival(JobId id) {
-  if (!is_fork() && waiting_pos_.size() < result_.records.size())
-    waiting_pos_.resize(result_.records.size(), -1);
   set_waiting_pos(id, static_cast<std::int32_t>(waiting_.size()));
   waiting_.push_back(id);
   waiting_demand_ += job(id).nodes;
@@ -294,19 +282,6 @@ void SimulationEngine::deliver_completion(JobId id, Time finish, bool killed) {
   if (result_.last_finish == kNoTime || finish > result_.last_finish) result_.last_finish = finish;
 
   scheduler_->on_complete(id);
-
-  // Chain the next runtime-limit segment, if any (Chained mode only; in
-  // preprocessing mode every segment was seeded at construction). Guarded on
-  // the limiter because a fork's job(id) has no segment parentage to follow
-  // — and forks forbid runtime limits anyway, so the guard costs nothing.
-  if (config_.segment_arrival == SegmentArrival::Chained && limiter_.enabled()) {
-    const Job& original = workload_.jobs.at(static_cast<std::size_t>(j.parent));
-    const std::optional<Job> next = limiter_.next_segment(original, j, finish, /*id=*/0);
-    if (next) {
-      const JobId next_record = add_record(*next);
-      push_event({finish, EventKind::Arrive, next_record});
-    }
-  }
 }
 
 void SimulationEngine::handle_wcl_check(JobId id) {
@@ -400,8 +375,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
     // A fork taken mid-instant first finishes the master's instant at now_.
     const Time t = pass_owed_ ? now_ : pending->event.at;
 
-    // Drain every event at this instant; completions sort before arrivals,
-    // and chained segment arrivals pushed "now" are picked up here too.
+    // Drain every event at this instant; completions sort before arrivals.
     while (pending && pending->event.at == t) {
       const Event event = pending->event;
       // The hook fires with the arrival still pending: nothing of this (or
@@ -422,11 +396,6 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
           deliver_completion(event.id, t, /*killed=*/false);
           break;
         case EventKind::Arrive:
-          if (arrival_limit_ != kInvalidJob && event.id > arrival_limit_) break;
-          // Snapshot storage may need to grow for chained segments.
-          if (config_.record_snapshots &&
-              result_.snapshots.size() < result_.records.size())
-            result_.snapshots.resize(result_.records.size());
           deliver_arrival(event.id);
           break;
         case EventKind::WclCheck:
@@ -458,6 +427,9 @@ SimulationResult SimulationEngine::run() { return run_with_arrival_hook(nullptr)
 SimulationResult SimulationEngine::run_with_arrival_hook(const ArrivalHook& hook) {
   if (ran_) throw std::logic_error("SimulationEngine::run called twice");
   ran_ = true;
+  // The record table is complete from construction on, so per-record state
+  // is sized once here.
+  waiting_pos_.assign(result_.records.size(), -1);
   if (config_.record_snapshots) result_.snapshots.resize(result_.records.size());
 
   run_loop(hook ? &hook : nullptr, kInvalidJob);

@@ -5,15 +5,15 @@
 // event heap — and delegates policy decisions to a core::Scheduler built
 // from the configured PolicyConfig.
 //
-// Maximum-runtime limits (section 5.1) are applied here: an original job
-// longer than the limit enters as segment 0, and each following segment is
-// submitted the instant its predecessor completes.
+// Maximum-runtime limits (section 5.1) are applied here, as the paper's
+// trace preprocessing: an original job longer than the limit becomes
+// several segments, all submitted at the original's submit time.
 //
 // Arrival events are NOT pre-seeded into the event heap: the seeded records
 // are already sorted by (submit, record id) — exactly the heap's ordering —
 // so a cursor over them is merged with the heap on the fly. The heap only
-// ever holds completions, WCL checks, timers and chained-segment arrivals,
-// keeping it (and every fork's copy of it) O(queue), not O(trace).
+// ever holds completions, WCL checks and timers, keeping it (and every
+// fork's copy of it) O(queue), not O(trace).
 
 #include <cstddef>
 #include <functional>
@@ -62,16 +62,6 @@ enum class WclEnforcement {
   Always,        ///< hard limit: runtime is truncated to the WCL
 };
 
-/// How maximum-runtime segments enter the system.
-enum class SegmentArrival {
-  /// All segments are submitted at the original job's submit time, as if the
-  /// trace had been preprocessed — the paper's treatment (section 5.1/6).
-  AtOriginalSubmit,
-  /// Segment k+1 is submitted when segment k completes (checkpoint/restart
-  /// semantics; segments of one job can never overlap).
-  Chained,
-};
-
 struct EngineConfig {
   PolicyConfig policy;
   /// Usage multiplier per decay period, which is one day (CPlant decayed
@@ -80,10 +70,7 @@ struct EngineConfig {
   /// dynamics of the paper's policies visible; 0.5/day would forgive heavy
   /// use overnight.
   double fairshare_decay = 0.9;
-  /// Priority refresh cadence (daily batch, as production fairshare works).
-  FairshareUpdate fairshare_update = FairshareUpdate::AtDecayBoundary;
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
-  SegmentArrival segment_arrival = SegmentArrival::AtOriginalSubmit;
   bool record_snapshots = true;  ///< needed by the FST metrics
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
@@ -198,7 +185,6 @@ class SimulationEngine final : public SchedulerContext {
   bool is_fork() const { return arrival_limit_ != kInvalidJob; }
 
   void advance_accounting(Time to);
-  JobId add_record(const Job& job);
   void deliver_arrival(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
   void record_snapshot(JobId id);
@@ -250,8 +236,8 @@ class SimulationEngine final : public SchedulerContext {
 
   std::vector<Event> events_;  ///< min-heap (std::push_heap/pop_heap, greater)
   std::set<Time> pending_timers_;
-  /// Forks only: arrival events with a record id above this are discarded
-  /// (kInvalidJob = deliver everything, the normal mode).
+  /// Forks only: the last job of the fork's universe, whose start the fork
+  /// resolves (seeded_end_ is capped at it + 1); kInvalidJob on a master.
   JobId arrival_limit_ = kInvalidJob;
   /// Seeded-arrival cursor: records [next_seeded_, seeded_end_) have not
   /// arrived yet and are delivered in record order (== (submit, id) order).

@@ -1,7 +1,7 @@
 #pragma once
-// Experiment runner: one workload, many policies, cached results. Every
-// figure binary in bench/ funnels through this so repeated policies within a
-// process simulate exactly once.
+// Experiment runner: one workload, many policies, cached results.
+// psched_run, every campaign group and the examples funnel through this so
+// repeated policies within a process simulate exactly once.
 //
 // The cache is keyed on PolicyConfig::canonical_key() (covers every field —
 // display_name collides for configs differing only in heavy_user_factor) and

@@ -17,7 +17,7 @@ void require_no_max_runtime(const EngineConfig& config) {
   if (config.policy.max_runtime != kNoTime)
     throw std::invalid_argument(
         "policy_no_later_arrivals_fst: requires config.policy.max_runtime == kNoTime — "
-        "segment chaining has no well-defined per-original start");
+        "a job split into runtime-limit segments has no single start");
 }
 
 }  // namespace

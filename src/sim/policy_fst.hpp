@@ -53,7 +53,7 @@ struct PolicyFstOptions {
 /// fair_start[i] = start of workload.jobs[i] when the simulation is re-run
 /// with every job submitted after jobs[i] removed (same-submit ties with a
 /// lower id are kept). Requires config.policy.max_runtime == kNoTime, since
-/// segment chaining has no well-defined per-original start.
+/// a job split into runtime-limit segments has no single start.
 std::vector<Time> policy_no_later_arrivals_fst(const Workload& workload,
                                                const EngineConfig& config,
                                                const PolicyFstOptions& options = {});

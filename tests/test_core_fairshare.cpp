@@ -14,57 +14,57 @@ TEST(Fairshare, RejectsBadParameters) {
 }
 
 TEST(Fairshare, AccruesProcessorSeconds) {
-  FairshareTracker t(1.0, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker t(1.0, kDay);
   t.on_job_start(0, 4);
   t.advance(100);
-  EXPECT_DOUBLE_EQ(t.usage(0), 400.0);
+  EXPECT_DOUBLE_EQ(t.live_usage(0), 400.0);
   t.on_job_stop(0, 4);
   t.advance(200);
-  EXPECT_DOUBLE_EQ(t.usage(0), 400.0);  // nothing running, no accrual
+  EXPECT_DOUBLE_EQ(t.live_usage(0), 400.0);  // nothing running, no accrual
 }
 
 TEST(Fairshare, MultipleUsersAccrueIndependently) {
-  FairshareTracker t(1.0, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker t(1.0, kDay);
   t.on_job_start(0, 2);
   t.on_job_start(1, 6);
   t.advance(50);
-  EXPECT_DOUBLE_EQ(t.usage(0), 100.0);
-  EXPECT_DOUBLE_EQ(t.usage(1), 300.0);
+  EXPECT_DOUBLE_EQ(t.live_usage(0), 100.0);
+  EXPECT_DOUBLE_EQ(t.live_usage(1), 300.0);
   EXPECT_EQ(t.running_processors(), 8);
   EXPECT_EQ(t.user_count(), 2u);
 }
 
 TEST(Fairshare, DecayAtBoundary) {
-  FairshareTracker t(0.5, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker t(0.5, kDay);
   t.on_job_start(0, 1);
   t.advance(kDay);  // accrues kDay proc-seconds, then halves
-  EXPECT_DOUBLE_EQ(t.usage(0), static_cast<double>(kDay) * 0.5);
+  EXPECT_DOUBLE_EQ(t.live_usage(0), static_cast<double>(kDay) * 0.5);
   t.on_job_stop(0, 1);
   t.advance(3 * kDay);  // two more boundaries, no accrual
-  EXPECT_DOUBLE_EQ(t.usage(0), static_cast<double>(kDay) * 0.125);
+  EXPECT_DOUBLE_EQ(t.live_usage(0), static_cast<double>(kDay) * 0.125);
 }
 
 TEST(Fairshare, DecayBoundariesAlignedToGrid) {
   // Start mid-day: the first boundary is the next grid point, not start+24h.
-  FairshareTracker t(0.5, kDay, kDay / 2, FairshareUpdate::Continuous);
+  FairshareTracker t(0.5, kDay, kDay / 2);
   t.on_job_start(0, 1);
   t.advance(kDay);  // half a day accrued, then decay
-  EXPECT_DOUBLE_EQ(t.usage(0), static_cast<double>(kDay / 2) * 0.5);
+  EXPECT_DOUBLE_EQ(t.live_usage(0), static_cast<double>(kDay / 2) * 0.5);
 }
 
 TEST(Fairshare, SplitAdvanceEqualsOneAdvance) {
-  FairshareTracker a(0.7, kDay, 0, FairshareUpdate::Continuous);
-  FairshareTracker b(0.7, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker a(0.7, kDay);
+  FairshareTracker b(0.7, kDay);
   a.on_job_start(3, 5);
   b.on_job_start(3, 5);
   a.advance(5 * kDay + 12345);
   for (Time step = 0; step <= 5 * kDay + 12345; step += 7777) b.advance(step);
   b.advance(5 * kDay + 12345);
-  EXPECT_NEAR(a.usage(3), b.usage(3), 1e-6);
+  EXPECT_NEAR(a.live_usage(3), b.live_usage(3), 1e-6);
 }
 
 TEST(Fairshare, PublishedValueOnlyRefreshesAtBoundary) {
-  FairshareTracker t(0.5, kDay, 0, FairshareUpdate::AtDecayBoundary);
+  FairshareTracker t(0.5, kDay);
   t.on_job_start(0, 2);
   t.advance(1000);
   EXPECT_DOUBLE_EQ(t.usage(0), 0.0);          // priority not refreshed yet
@@ -87,13 +87,15 @@ TEST(Fairshare, StopMoreThanRunningThrows) {
 }
 
 TEST(Fairshare, MeanPositiveUsage) {
-  FairshareTracker t(1.0, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker t(1.0, kDay);
   EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.0);
   t.on_job_start(0, 10);
   t.on_job_start(2, 30);
   t.advance(10);
-  // users 0 and 2 have usage 100 and 300; user 1 has none.
-  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 200.0);
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.0);  // nothing published yet
+  t.advance(kDay);
+  // users 0 and 2 published 10 and 30 proc-days; user 1 has none.
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), static_cast<double>(20 * kDay));
 }
 
 TEST(Fairshare, UnknownUsersAreZero) {
@@ -103,10 +105,10 @@ TEST(Fairshare, UnknownUsersAreZero) {
 }
 
 TEST(Fairshare, NoDecayFactorOne) {
-  FairshareTracker t(1.0, kDay, 0, FairshareUpdate::Continuous);
+  FairshareTracker t(1.0, kDay);
   t.on_job_start(0, 1);
   t.advance(10 * kDay);
-  EXPECT_DOUBLE_EQ(t.usage(0), static_cast<double>(10 * kDay));
+  EXPECT_DOUBLE_EQ(t.live_usage(0), static_cast<double>(10 * kDay));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/engine.hpp"
 #include "test_helpers.hpp"
 
 namespace psched {
@@ -15,7 +16,7 @@ TEST(RuntimeLimiter, DisabledPassesThrough) {
   Job original = make_job(100, hours(200), 16);
   original.id = 7;
   EXPECT_EQ(limiter.segment_count(original), 1);
-  const Job seg = limiter.make_segment(original, 0, 42, 100);
+  const Job seg = limiter.make_segment(original, 0, 42);
   EXPECT_EQ(seg.id, 42);
   EXPECT_EQ(seg.parent, 7);
   EXPECT_EQ(seg.runtime, hours(200));
@@ -38,17 +39,18 @@ TEST(RuntimeLimiter, SegmentCountCeiling) {
 
 TEST(RuntimeLimiter, SegmentRuntimesSumToOriginal) {
   const RuntimeLimiter limiter(hours(72));
-  Job original = make_job(0, hours(200), 8, 3, hours(250));
+  Job original = make_job(500, hours(200), 8, 3, hours(250));
   original.id = 11;
   const std::int32_t count = limiter.segment_count(original);
   ASSERT_EQ(count, 3);
   Time total = 0;
   for (std::int32_t s = 0; s < count; ++s) {
-    const Job seg = limiter.make_segment(original, s, s, 0);
+    const Job seg = limiter.make_segment(original, s, s);
     total += seg.runtime;
     EXPECT_LE(seg.runtime, hours(72));
     EXPECT_LE(seg.wcl, hours(72));
     EXPECT_GT(seg.wcl, 0);
+    EXPECT_EQ(seg.submit, 500);  // every segment at the original's submit
     EXPECT_EQ(seg.parent, 11);
     EXPECT_EQ(seg.segment, s);
     EXPECT_EQ(seg.segment_count, 3);
@@ -61,8 +63,8 @@ TEST(RuntimeLimiter, SegmentRuntimesSumToOriginal) {
 TEST(RuntimeLimiter, WclChunking) {
   const RuntimeLimiter limiter(hours(72));
   const Job original = make_job(0, hours(80), 4, 0, hours(100));
-  const Job seg0 = limiter.make_segment(original, 0, 0, 0);
-  const Job seg1 = limiter.make_segment(original, 1, 1, 0);
+  const Job seg0 = limiter.make_segment(original, 0, 0);
+  const Job seg1 = limiter.make_segment(original, 1, 1);
   EXPECT_EQ(seg0.wcl, hours(72));
   EXPECT_EQ(seg1.wcl, hours(28));  // remaining estimate
   EXPECT_EQ(seg0.runtime, hours(72));
@@ -74,52 +76,45 @@ TEST(RuntimeLimiter, UnderestimatedWclGetsFloor) {
   // User estimated 10 h but the job runs 100 h: trailing segments still get
   // a sane minimum WCL.
   const Job original = make_job(0, hours(100), 2, 0, hours(10));
-  const Job seg1 = limiter.make_segment(original, 1, 1, 0);
+  const Job seg1 = limiter.make_segment(original, 1, 1);
   EXPECT_GE(seg1.wcl, RuntimeLimiter::kMinSegmentWcl);
 }
 
 TEST(RuntimeLimiter, BadSegmentIndexThrows) {
   const RuntimeLimiter limiter(hours(72));
   const Job original = make_job(0, hours(100), 2);
-  EXPECT_THROW(limiter.make_segment(original, -1, 0, 0), std::out_of_range);
-  EXPECT_THROW(limiter.make_segment(original, 2, 0, 0), std::out_of_range);
+  EXPECT_THROW(limiter.make_segment(original, -1, 0), std::out_of_range);
+  EXPECT_THROW(limiter.make_segment(original, 2, 0), std::out_of_range);
 }
 
-TEST(RuntimeLimiter, NextSegmentChains) {
-  const RuntimeLimiter limiter(hours(72));
-  Job original = make_job(50, hours(150), 4);
-  original.id = 5;
-  const Job seg0 = limiter.make_segment(original, 0, 0, 50);
-  const auto seg1 = limiter.next_segment(original, seg0, 1000, 1);
-  ASSERT_TRUE(seg1.has_value());
-  EXPECT_EQ(seg1->submit, 1000);
-  EXPECT_EQ(seg1->segment, 1);
-  const auto seg2 = limiter.next_segment(original, *seg1, 2000, 2);
-  ASSERT_TRUE(seg2.has_value());
-  EXPECT_FALSE(limiter.next_segment(original, *seg2, 3000, 3).has_value());
-}
-
+// The engine's record seeding is the one place a workload is split: every
+// segment of every job enters at the original job's submit time.
 TEST(SplitWorkload, PreprocessingMode) {
   const Workload original = test::make_workload(
       64, {make_job(0, hours(100), 4), make_job(10, hours(10), 8), make_job(20, hours(300), 2)});
-  const Workload split = split_workload(original, hours(72));
+  sim::EngineConfig config;
+  config.policy.max_runtime = hours(72);
+  const SimulationResult split = sim::simulate(original, config);
   // 100h -> 2 segments, 10h -> 1, 300h -> 5.
-  EXPECT_EQ(split.jobs.size(), 8u);
-  for (const Job& seg : split.jobs) {
+  EXPECT_EQ(split.records.size(), 8u);
+  double split_work = 0.0;
+  for (const JobRecord& record : split.records) {
+    const Job& seg = record.job;
     EXPECT_LE(seg.runtime, hours(72));
-    // All segments submitted at their original's submit time.
     EXPECT_EQ(seg.submit, original.jobs[static_cast<std::size_t>(seg.parent)].submit);
+    split_work += static_cast<double>(seg.nodes) * static_cast<double>(seg.runtime);
   }
-  double original_work = original.total_proc_seconds();
-  EXPECT_DOUBLE_EQ(split.total_proc_seconds(), original_work);
+  EXPECT_DOUBLE_EQ(split_work, original.total_proc_seconds());
 }
 
 TEST(SplitWorkload, NoopWithoutLongJobs) {
   const Workload original =
       test::make_workload(64, {make_job(0, hours(10), 4), make_job(5, hours(72), 8)});
-  const Workload split = split_workload(original, hours(72));
-  EXPECT_EQ(split.jobs.size(), 2u);
-  EXPECT_EQ(split.jobs[0].runtime, original.jobs[0].runtime);
+  sim::EngineConfig config;
+  config.policy.max_runtime = hours(72);
+  const SimulationResult split = sim::simulate(original, config);
+  EXPECT_EQ(split.records.size(), 2u);
+  EXPECT_EQ(split.records[0].job.runtime, original.jobs[0].runtime);
 }
 
 }  // namespace

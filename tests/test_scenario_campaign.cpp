@@ -1,13 +1,16 @@
-// Campaign runner integration: the committed example specs reproduce the
-// figure-binary path bit-for-bit, SWF replay works end to end at smoke scale,
-// serial and parallel campaigns are byte-identical, and multi-seed
-// replication aggregates into deterministic bootstrap intervals.
+// Campaign runner integration: the committed fig14 spec reproduces the
+// direct library sweep bit-for-bit, every committed spec runs, SWF replay
+// works end to end at smoke scale, serial and parallel campaigns are
+// byte-identical, and multi-seed replication aggregates into deterministic
+// bootstrap intervals.
 
 #include "scenario/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -55,9 +58,9 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
   spec.workload.scale = 0.05;
   const CampaignResult result = run_campaign(spec);
 
-  // The reference: exactly what bench/common/experiment_env.cpp does for the
-  // exp_* binaries — generate the Ross trace and sweep through a cached
-  // ExperimentRunner with default engine settings.
+  // The reference: the figure path as a direct library sweep — generate the
+  // Ross trace and sweep through a cached ExperimentRunner with default
+  // engine settings.
   workload::GeneratorConfig generator;
   generator.seed = spec.workload.seed;
   generator.count_scale = spec.workload.scale;
@@ -80,9 +83,35 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
           << result.reports[i].policy << " / " << spec.metrics[m];
     }
   }
-  // The rendered table — what exp_fig14_percent_unfair_all prints — byte-diffs clean.
+  // Every rendered figure table psched_campaign prints for a single-seed
+  // campaign byte-diffs clean against the reference sweep.
   EXPECT_EQ(metrics::fairness_summary_table(result.reports).str(),
             metrics::fairness_summary_table(reference).str());
+  EXPECT_EQ(metrics::performance_summary_table(result.reports).str(),
+            metrics::performance_summary_table(reference).str());
+  EXPECT_EQ(metrics::miss_by_width_table(result.reports).str(),
+            metrics::miss_by_width_table(reference).str());
+  EXPECT_EQ(metrics::turnaround_by_width_table(result.reports).str(),
+            metrics::turnaround_by_width_table(reference).str());
+}
+
+TEST(Campaign, EveryCommittedSpecRunsAtSmallScale) {
+  // The committed specs are the figure and ablation drivers; run each one
+  // (synthetic traces turned down to 2% of Ross) so none of them rots.
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(kSourceDir + "/examples/campaigns"))
+    if (entry.path().extension() == ".spec") paths.push_back(entry.path().string());
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 8u);
+  for (const std::string& path : paths) {
+    ScenarioSpec spec = parse_spec_file(path);
+    if (spec.workload.source == WorkloadSpec::Source::Ross) spec.workload.scale = 0.02;
+    const CampaignResult result = run_campaign(spec);
+    ASSERT_FALSE(result.cells.empty()) << path;
+    for (const CellResult& cell : result.cells)
+      EXPECT_EQ(cell.status, CellStatus::Ok) << path << ": " << cell.error;
+  }
 }
 
 TEST(Campaign, CommittedSwfReplaySpecRunsTheSampleArchive) {

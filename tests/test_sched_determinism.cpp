@@ -197,14 +197,5 @@ TEST(SchedulerDeterminism, WithWclHardLimit) {
   run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
 }
 
-TEST(SchedulerDeterminism, ChainedSegments) {
-  sim::EngineConfig config;
-  config.policy.max_runtime = hours(8);
-  config.segment_arrival = sim::SegmentArrival::Chained;
-  const Workload w = workload::generate_small_workload(61, 250, 64, days(7));
-  run_and_compare(w, /*dynamic=*/false, PriorityKind::Fairshare, config);
-  run_and_compare(w, /*dynamic=*/true, PriorityKind::Fairshare, config);
-}
-
 }  // namespace
 }  // namespace psched

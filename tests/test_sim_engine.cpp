@@ -82,39 +82,6 @@ TEST(Engine, MaxRuntimeSplitsAtOriginalSubmitByDefault) {
   test::expect_no_overallocation(r);
 }
 
-TEST(Engine, MaxRuntimeChainedMode) {
-  EngineConfig config;
-  config.policy.max_runtime = hours(72);
-  config.segment_arrival = SegmentArrival::Chained;
-  const Workload w = make_workload(8, {make_job(0, hours(100), 8)});
-  const SimulationResult r = simulate(w, config);
-  ASSERT_EQ(r.records.size(), 2u);
-  const JobRecord& seg0 = r.records[0];
-  const JobRecord& seg1 = r.records[1];
-  // Chained: segment 1 submitted exactly when segment 0 completes.
-  EXPECT_EQ(seg1.job.submit, seg0.finish);
-  EXPECT_GE(seg1.start, seg0.finish);
-  EXPECT_EQ(seg0.finish - seg0.start, hours(72));
-  EXPECT_EQ(seg1.finish - seg1.start, hours(28));
-}
-
-TEST(Engine, ChainedSegmentsNeverOverlap) {
-  EngineConfig config;
-  config.policy.kind = PolicyKind::Conservative;
-  config.policy.max_runtime = hours(48);
-  config.segment_arrival = SegmentArrival::Chained;
-  const Workload w = psched::workload::generate_small_workload(73, 150, 32, days(4));
-  const SimulationResult r = simulate(w, config);
-  for (std::size_t original = 0; original < r.segments_of_original.size(); ++original) {
-    const auto& segments = r.segments_of_original[original];
-    for (std::size_t s = 1; s < segments.size(); ++s) {
-      const JobRecord& prev = r.records[static_cast<std::size_t>(segments[s - 1])];
-      const JobRecord& next = r.records[static_cast<std::size_t>(segments[s])];
-      EXPECT_GE(next.start, prev.finish);
-    }
-  }
-}
-
 TEST(Engine, WclAlwaysTruncatesRuntime) {
   EngineConfig config;
   config.wcl_enforcement = WclEnforcement::Always;

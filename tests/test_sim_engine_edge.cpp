@@ -57,19 +57,6 @@ TEST(EngineEdge, OneSecondJobs) {
   test::expect_complete_and_causal(r);
 }
 
-TEST(EngineEdge, SnapshotGrowthWithChainedSegments) {
-  // Chained segments create records mid-run; snapshot storage must keep up.
-  EngineConfig config;
-  config.policy.max_runtime = hours(10);
-  config.segment_arrival = SegmentArrival::Chained;
-  config.record_snapshots = true;
-  const Workload w = make_workload(4, {make_job(0, hours(35), 4)});
-  const SimulationResult r = simulate(w, config);
-  ASSERT_EQ(r.records.size(), 4u);
-  ASSERT_EQ(r.snapshots.size(), 4u);
-  for (const ArrivalSnapshot& s : r.snapshots) EXPECT_NE(s.id, kInvalidJob);
-}
-
 TEST(EngineEdge, SingleJobMetricsAreTrivial) {
   const Workload w = make_workload(8, {make_job(123, 456, 3)});
   const SimulationResult r = simulate(w, EngineConfig{});

@@ -298,7 +298,7 @@ TEST(PolicyFst, MatchesDirectSimulationForLastJob) {
 }
 
 // The documented precondition (header: max_runtime == kNoTime) must be
-// enforced on every path — segment chaining has no well-defined per-original
+// enforced on every path — segmentation has no well-defined per-original
 // start, so silently proceeding would return garbage fair-start times.
 TEST(PolicyFst, RejectsMaxRuntimePolicies) {
   const Workload w = psched::workload::generate_small_workload(11, 20, 16, days(1));
@@ -307,8 +307,6 @@ TEST(PolicyFst, RejectsMaxRuntimePolicies) {
   EXPECT_THROW(policy_no_later_arrivals_fst(w, config), std::invalid_argument);
   PolicyFstOptions serial{.parallel = false};
   EXPECT_THROW(policy_no_later_arrivals_fst(w, config, serial), std::invalid_argument);
-  config.segment_arrival = SegmentArrival::Chained;
-  EXPECT_THROW(policy_no_later_arrivals_fst(w, config), std::invalid_argument);
   try {
     policy_no_later_arrivals_fst(w, config);
     FAIL() << "expected std::invalid_argument";

@@ -32,10 +32,9 @@
 // 3 campaign completed but some cells failed, timed out or were skipped;
 // 4 interrupted (signal or wall budget) — resume with --resume.
 //
-// A single-seed campaign additionally prints the standard fairness and
-// performance tables, so a spec mirroring a figure binary (same workload,
-// policies and seed — see examples/campaigns/fig14_all_policies.spec)
-// reproduces that binary's table bytes exactly.
+// A single-seed campaign additionally prints the paper's figure tables:
+// fairness, performance, and average miss and turnaround by width (see
+// examples/campaigns/fig14_all_policies.spec for Figures 8-19).
 
 #include <unistd.h>
 
@@ -46,6 +45,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/report.hpp"
@@ -229,14 +229,20 @@ int main(int argc, char** argv) {
     std::cout << "# resume: replayed " << result.replayed_records << " journal records, restored "
               << result.restored_cells << " cells, simulated " << result.simulated_cells << '\n';
 
-  // Figure-binary parity: a single-seed, fully-simulated campaign is exactly
-  // one policy sweep, so print the same summary tables the exp_* binaries
-  // print. Restored or non-ok cells have no PolicyReport to tabulate.
+  // A single-seed, fully-simulated campaign is exactly one policy sweep, so
+  // print the paper's figure tables for it: fairness (Figs. 8, 9, 14, 15),
+  // performance (Figs. 11, 13, 17, 19) and the per-width breakdowns
+  // (Figs. 10, 12, 16, 18). Restored or non-ok cells have no PolicyReport
+  // to tabulate.
   if (plan.seeds.size() == 1 && result.reports_complete) {
-    const util::TextTable fairness = metrics::fairness_summary_table(result.reports);
-    const util::TextTable performance = metrics::performance_summary_table(result.reports);
-    std::cout << "\n== fairness ==\n" << (csv ? fairness.csv() : fairness.str())
-              << "\n== performance ==\n" << (csv ? performance.csv() : performance.str());
+    const std::pair<const char*, util::TextTable> tables[] = {
+        {"fairness", metrics::fairness_summary_table(result.reports)},
+        {"performance", metrics::performance_summary_table(result.reports)},
+        {"avg miss by width", metrics::miss_by_width_table(result.reports)},
+        {"avg turnaround by width", metrics::turnaround_by_width_table(result.reports)},
+    };
+    for (const auto& [title, table] : tables)
+      std::cout << "\n== " << title << " ==\n" << (csv ? table.csv() : table.str());
   }
 
   std::vector<std::string> header = {"policy", "decay", "n"};

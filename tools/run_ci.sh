@@ -5,7 +5,8 @@
 #     1. configure + build (-Werror -Wshadow are on by default)
 #     2. psched-lint contract check over src/, tools/, bench/
 #     3. ctest (the correctness contract; includes the lint fixture tests)
-#     4. compile-gate the opt-in experiment/example binaries under -Werror
+#     4. compile-gate the opt-in examples/ programs under -Werror and run
+#        example_workload_analysis once
 #     5. a one-spec campaign smoke run (SWF replay of the committed sample
 #        trace), checked for a non-empty results store
 #     6. a counter gate: the deterministic work counters (events, scheduler
@@ -62,7 +63,7 @@ run_tier1() {
   echo "== tier-1: ctest =="
   ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
-  echo "== experiments/examples compile gate =="
+  echo "== examples: compile gate + workload analysis run =="
   ./tools/check_examples.sh
 
   echo "== campaign smoke run =="
