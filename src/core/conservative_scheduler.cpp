@@ -40,9 +40,7 @@ void ConservativeScheduler::seed_running_usage(Time now) {
 void ConservativeScheduler::compression_pass(Time now) {
   Profile& plan = *plan_;
   bool moved = false;
-  priority_order_ = waiting_by_priority(priority_);
-  order_fresh_ = true;
-  for (const JobId id : priority_order_) {
+  for (const JobId id : waiting_by_priority(priority_)) {
     const Job& job = ctx().job(id);
     const Time current = reservations_.at(id);
     plan.remove_usage(current, current + job.wcl, job.nodes);
@@ -132,7 +130,6 @@ bool ConservativeScheduler::incremental_replan(Time now) {
 
 void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   wakeup_.reset();
-  order_fresh_ = false;
   const Time now = ctx().now();
 
   // While any running job over-runs its estimate, its assumed horizon moves
@@ -155,12 +152,10 @@ void ConservativeScheduler::collect_starts(std::vector<JobId>& starts) {
   plan_valid_ = !overrun;
 
   // Launch everything whose reservation came due, highest priority first.
-  // The compression pass usually just computed this exact order; avoid
-  // re-sorting.
-  if (!order_fresh_) priority_order_ = waiting_by_priority(priority_);
+  // The queue leaves the loop untouched; dequeue() runs after it.
   NodeCount free = ctx().free_nodes();
   std::optional<Time> wake;
-  for (const JobId id : priority_order_) {
+  for (const JobId id : waiting_by_priority(priority_)) {
     const Time start = reservations_.at(id);
     if (start <= now) {
       const Job& job = ctx().job(id);

@@ -83,10 +83,6 @@ class ConservativeScheduler final : public Scheduler {
   /// The last compression pass moved at least one reservation (so the next
   /// one may cascade further and cannot be skipped).
   bool compress_active_ = false;
-  /// Scratch: priority order of the wait queue computed during this event's
-  /// replan (compression pass), reusable by the launch loop.
-  std::vector<JobId> priority_order_;
-  bool order_fresh_ = false;  ///< priority_order_ matches waiting() right now
 };
 
 }  // namespace psched

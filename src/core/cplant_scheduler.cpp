@@ -21,20 +21,18 @@ std::string CplantScheduler::name() const {
   return n;
 }
 
-bool CplantScheduler::user_is_heavy(UserId user) const {
-  const double mean = ctx().mean_positive_usage();
-  if (mean <= 0.0) return false;
-  return ctx().user_usage(user) > config_.heavy_user_factor * mean;
-}
-
 void CplantScheduler::promote_starving_jobs() {
   if (!starvation_enabled()) return;
   const Time now = ctx().now();
+  // A user is heavy above heavy_user_factor x the mean positive usage (none
+  // is while that mean is 0). The mean is O(users): read it once per pass.
+  const double mean_usage = config_.bar_heavy_users ? ctx().mean_positive_usage() : 0.0;
+  const double heavy_above = config_.heavy_user_factor * mean_usage;
   std::vector<JobId> eligible;
   for (const JobId id : waiting()) {
     const Job& job = ctx().job(id);
     if (now - job.submit < config_.starvation_delay) continue;
-    if (config_.bar_heavy_users && user_is_heavy(job.user)) continue;
+    if (mean_usage > 0.0 && ctx().user_usage(job.user) > heavy_above) continue;
     eligible.push_back(id);
   }
   // The starvation queue is FCFS by submission.
@@ -55,8 +53,9 @@ void CplantScheduler::collect_starts(std::vector<JobId>& starts) {
   // queue (configured priority). Only the starvation queue may reserve, and
   // only once: its first job that does not fit pins the single internal
   // reservation; every other job starts only if it respects it.
-  std::vector<JobId> order = waiting_by_priority(config_.priority);
-  order.insert(order.begin(), starve_.begin(), starve_.end());
+  std::vector<JobId> order(starve_.begin(), starve_.end());
+  const std::vector<JobId>& queue = waiting_by_priority(config_.priority);
+  order.insert(order.end(), queue.begin(), queue.end());
   std::optional<Time> wake = backfill(order, starve_.size(), 1, starts);
   erase_ids(starve_, starts);
 

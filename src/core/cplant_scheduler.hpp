@@ -40,7 +40,6 @@ class CplantScheduler final : public Scheduler {
 
  private:
   bool starvation_enabled() const { return config_.starvation_delay != kNoTime; }
-  bool user_is_heavy(UserId user) const;
   void promote_starving_jobs();
 
   CplantConfig config_;

@@ -16,7 +16,7 @@ std::string DepthScheduler::name() const {
 }
 
 void DepthScheduler::collect_starts(std::vector<JobId>& starts) {
-  const std::vector<JobId> order = waiting_by_priority(config_.priority);
+  const std::vector<JobId>& order = waiting_by_priority(config_.priority);
   wakeup_ = backfill(order, order.size(), config_.reservation_depth, starts);
 }
 

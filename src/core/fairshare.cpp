@@ -37,6 +37,7 @@ void FairshareTracker::advance(Time to) {
       u.published = u.usage;  // boundary = priority refresh point
     }
     next_decay_ += decay_period_;
+    ++epoch_;
   }
   accrue(to - now_);
   now_ = to;

@@ -13,6 +13,7 @@
 // is stable between refreshes.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -47,6 +48,11 @@ class FairshareTracker {
   /// none. Used by the "bar heavy users from the starvation queue" policy.
   double mean_positive_usage() const;
 
+  /// Publish epoch: the number of decay boundaries crossed so far. Published
+  /// usage (and with it the fairshare queue order) can only change when this
+  /// moves, so a queue sorted at one epoch stays sorted until the next.
+  std::uint64_t publish_epoch() const { return epoch_; }
+
   /// Number of distinct users ever observed.
   std::size_t user_count() const { return users_.size(); }
 
@@ -67,6 +73,7 @@ class FairshareTracker {
   Time decay_period_;
   Time now_;
   Time next_decay_;
+  std::uint64_t epoch_ = 0;
   NodeCount total_running_ = 0;
   std::vector<UserState> users_;  // dense by UserId
 };

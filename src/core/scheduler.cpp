@@ -3,33 +3,76 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace psched {
+
+namespace {
+
+/// Where one queued job sorts: priority order is ascending in this key.
+struct PriorityKey {
+  double usage;
+  Time submit;
+  JobId id;
+
+  bool operator<(const PriorityKey& other) const {
+    if (usage != other.usage) return usage < other.usage;
+    if (submit != other.submit) return submit < other.submit;
+    return id < other.id;
+  }
+};
+
+PriorityKey priority_key(const SchedulerContext& ctx, JobId id, PriorityKind kind) {
+  const Job& job = ctx.job(id);
+  return {kind == PriorityKind::Fairshare ? ctx.user_usage(job.user) : 0.0, job.submit, id};
+}
+
+}  // namespace
 
 const SchedulerContext& Scheduler::ctx() const {
   if (ctx_ == nullptr) throw std::logic_error("Scheduler used before attach()");
   return *ctx_;
 }
 
+void Scheduler::on_submit(JobId id) {
+  if (!order_current()) {
+    waiting_.push_back(id);
+    order_.reset();
+    return;
+  }
+  // Every queued key is as it was at the last sort, so the new job's slot is
+  // where a full sort would put it.
+  const PriorityKind kind = order_->kind;
+  const PriorityKey key = priority_key(ctx(), id, kind);
+  const auto slot = std::lower_bound(
+      waiting_.begin(), waiting_.end(), key,
+      [&](JobId queued, const PriorityKey& k) { return priority_key(ctx(), queued, kind) < k; });
+  waiting_.insert(slot, id);
+}
+
+bool Scheduler::order_current() const {
+  return order_ &&
+         (order_->kind == PriorityKind::Fcfs || order_->epoch == ctx().fairshare_epoch());
+}
+
+const std::vector<JobId>& Scheduler::waiting_by_priority(PriorityKind kind) {
+  if (!order_current() || order_->kind != kind) {
+    if (waiting_.size() > 1) {
+      obs::count(obs::Counter::kSchedQueueSorts);
+      waiting_ = sorted_by_priority(std::move(waiting_), kind);
+    }
+    order_ = QueueOrder{kind, ctx().fairshare_epoch()};
+  }
+  return waiting_;
+}
+
 std::vector<JobId> Scheduler::sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const {
   // Decorate-sort-undecorate: one context/job lookup per id instead of two
   // virtual calls per comparison.
-  struct Key {
-    double usage;
-    Time submit;
-    JobId id;
-  };
-  std::vector<Key> keys;
+  std::vector<PriorityKey> keys;
   keys.reserve(ids.size());
-  for (const JobId id : ids) {
-    const Job& job = ctx().job(id);
-    keys.push_back({kind == PriorityKind::Fairshare ? ctx().user_usage(job.user) : 0.0,
-                    job.submit, id});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.usage != b.usage) return a.usage < b.usage;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  });
+  for (const JobId id : ids) keys.push_back(priority_key(ctx(), id, kind));
+  std::sort(keys.begin(), keys.end());
   for (std::size_t i = 0; i < keys.size(); ++i) ids[i] = keys[i].id;
   return ids;
 }

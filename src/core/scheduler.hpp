@@ -6,13 +6,20 @@
 // and "when do you next need to act without an external event?".
 //
 // The base class also carries what every built-in policy shares: the wait
-// queue (submitted ids, their priority order, one-pass removal of started
-// jobs) and the backfill pass ("start it if it fits now, otherwise pin a
-// reservation while under depth"). EASY is that pass at depth 1, reservation
-// depth n is the same pass at depth n, and CPlant runs it over its
+// queue (one vector of submitted ids kept in priority order, one-pass removal
+// of started jobs) and the backfill pass ("start it if it fits now, otherwise
+// pin a reservation while under depth"). EASY is that pass at depth 1,
+// reservation depth n is the same pass at depth n, and CPlant runs it over its
 // starvation queue followed by its main queue.
+//
+// The queue is sorted once and then kept in order: published fairshare usage
+// only changes at a decay boundary (SchedulerContext::fairshare_epoch), so
+// between two boundaries an arrival is inserted at its binary-search slot and
+// a removal keeps the rest in place. The whole queue is re-sorted only on the
+// first pass and when the epoch has moved; FCFS order never changes at all.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,6 +57,12 @@ class SchedulerContext {
   virtual double user_usage(UserId user) const = 0;
   /// Mean usage over users with positive usage (heavy-user bar threshold).
   virtual double mean_positive_usage() const = 0;
+  /// Publish epoch of user_usage(): it must move whenever any user_usage()
+  /// value may have changed (the engine forwards
+  /// FairshareTracker::publish_epoch). The scheduler base keys its sorted
+  /// wait queue on it, so a context that changed usage without moving it
+  /// would leave the queue in a stale order.
+  virtual std::uint64_t fairshare_epoch() const = 0;
 };
 
 /// Queue ordering used by the policies. Fairshare is the Sandia production
@@ -65,10 +78,11 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  /// A job entered the wait queue at ctx().now(). The base appends it to
-  /// the shared wait queue; an override that keeps per-job state of its own
-  /// calls Scheduler::on_submit too.
-  virtual void on_submit(JobId id) { waiting_.push_back(id); }
+  /// A job entered the wait queue at ctx().now(). The base adds it to the
+  /// shared wait queue (at its priority slot while the queue order is
+  /// current, otherwise at the end); an override that keeps per-job state of
+  /// its own calls Scheduler::on_submit too.
+  virtual void on_submit(JobId id);
 
   /// A running job completed (its nodes are already back in the free pool).
   /// The base has nothing to do.
@@ -109,16 +123,19 @@ class Scheduler {
 
   // --- the wait queue ------------------------------------------------------
 
-  /// Submitted jobs that have not started, in submission order.
+  /// Submitted jobs that have not started, in no promised order (the last
+  /// priority order, possibly with later arrivals appended). For readers
+  /// that do not depend on the order.
   const std::vector<JobId>& waiting() const { return waiting_; }
 
-  /// The wait queue in `kind` priority order.
-  std::vector<JobId> waiting_by_priority(PriorityKind kind) const {
-    return sorted_by_priority(waiting_, kind);
-  }
+  /// The wait queue in `kind` priority order. The reference stays valid
+  /// until the queue next changes (on_submit, dequeue, backfill). Sorts only
+  /// if the queue is not yet in `kind` order under the current fairshare
+  /// epoch; otherwise it returns the queue as it stands.
+  const std::vector<JobId>& waiting_by_priority(PriorityKind kind);
 
   /// Remove `ids` from the wait queue in one pass (ids not queued are
-  /// ignored; the rest keep their order).
+  /// ignored; the rest keep their order, so a sorted queue stays sorted).
   void dequeue(std::span<const JobId> ids) { erase_ids(waiting_, ids); }
 
   /// Remove every id in `ids` from `queue` in one pass, preserving order.
@@ -134,15 +151,17 @@ class Scheduler {
   /// Otherwise, while fewer than `depth` reservations are pinned and the job
   /// is among the first `reservable` entries of `order`, it pins a
   /// reservation at its earliest fit, which every later job must respect.
-  /// Started ids are appended to `starts` and leave the wait queue. Returns
-  /// the earliest reservation, if any.
+  /// Started ids are appended to `starts` and leave the wait queue once the
+  /// pass is over, so `order` may be waiting_by_priority() itself; it is
+  /// invalid after the call. Returns the earliest reservation, if any.
   std::optional<Time> backfill(std::span<const JobId> order, std::size_t reservable, int depth,
                                std::vector<JobId>& starts);
 
   /// `ids` in `kind` priority order: under Fairshare, lower decayed user
   /// usage first; then earlier submit; then lower id (a strict total order,
   /// so the result is deterministic). Sort keys are materialized once per id
-  /// instead of re-derived through the context on every comparison.
+  /// instead of re-derived through the context on every comparison. The one
+  /// place the wait queue is sorted.
   std::vector<JobId> sorted_by_priority(std::vector<JobId> ids, PriorityKind kind) const;
 
   /// Fill `profile` with usage of all running jobs. Jobs past their
@@ -166,8 +185,19 @@ class Scheduler {
   static constexpr Time kOverrunGrace = 300;
 
  private:
+  /// The order `waiting_` is sorted in: a priority kind under the published
+  /// usage of one fairshare epoch.
+  struct QueueOrder {
+    PriorityKind kind;
+    std::uint64_t epoch;
+  };
+
+  /// `waiting_` is in `order_` and that order still holds now.
+  bool order_current() const;
+
   const SchedulerContext* ctx_ = nullptr;
   std::vector<JobId> waiting_;
+  std::optional<QueueOrder> order_;  ///< nullopt: `waiting_` is in no known order
   std::optional<Profile> scratch_profile_;
 };
 

@@ -39,22 +39,29 @@ Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKno
 
   // Fairshare order: lower decayed usage first; ties by submit then id —
   // identical to Scheduler::sorted_by_priority so the metric matches the
-  // policy's notion of a socially just order.
+  // policy's notion of a socially just order. The list schedule stops at the
+  // target, so only the jobs strictly ahead of it need ordering. The target
+  // is normally the snapshot's last entry (the engine records it on arrival).
+  const auto ahead = [](const SnapshotWaiting& a, const SnapshotWaiting& b) {
+    if (a.priority != b.priority) return a.priority < b.priority;
+    if (a.submit != b.submit) return a.submit < b.submit;
+    return a.id < b.id;
+  };
+  const auto target = std::find_if(snapshot.waiting.rbegin(), snapshot.waiting.rend(),
+                                   [&](const SnapshotWaiting& w) { return w.id == snapshot.id; });
+  if (target == snapshot.waiting.rend())
+    throw std::logic_error("snapshot_fst: target job missing from its own snapshot");
+
   std::vector<const SnapshotWaiting*>& order = scratch.order;
   order.clear();
-  order.reserve(snapshot.waiting.size());
-  for (const SnapshotWaiting& w : snapshot.waiting) order.push_back(&w);
-  std::sort(order.begin(), order.end(), [](const SnapshotWaiting* a, const SnapshotWaiting* b) {
-    if (a->priority != b->priority) return a->priority < b->priority;
-    if (a->submit != b->submit) return a->submit < b->submit;
-    return a->id < b->id;
-  });
+  for (const SnapshotWaiting& w : snapshot.waiting)
+    if (ahead(w, *target)) order.push_back(&w);
+  std::sort(order.begin(), order.end(),
+            [&](const SnapshotWaiting* a, const SnapshotWaiting* b) { return ahead(*a, *b); });
 
-  for (const SnapshotWaiting* w : order) {
-    const Time start = list.schedule(w->nodes, perfect ? w->runtime : w->wcl, snapshot.at);
-    if (w->id == snapshot.id) return start;
-  }
-  throw std::logic_error("snapshot_fst: target job missing from its own snapshot");
+  for (const SnapshotWaiting* w : order)
+    list.schedule(w->nodes, perfect ? w->runtime : w->wcl, snapshot.at);
+  return list.schedule(target->nodes, perfect ? target->runtime : target->wcl, snapshot.at);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@ constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"engine.scheduler_invocations", true},
     {"scheduler.replan_full", true},
     {"scheduler.replan_incremental", true},
+    {"scheduler.queue_sorts", true},
     {"profile.gap_index.probes", true},
     {"profile.gap_index.skips", true},
     {"fst.forks", true},

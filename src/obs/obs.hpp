@@ -50,6 +50,7 @@ enum class Counter : std::size_t {
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
+  kSchedQueueSorts,             ///< core/scheduler.cpp: full wait-queue sorts
   kGapIndexProbes,              ///< no increment site; kept for perfbench's schema
   kGapIndexSkips,               ///< no increment site; kept for perfbench's schema
   kFstForks,                    ///< sim/policy_fst.cpp: jobs answered (one per job)

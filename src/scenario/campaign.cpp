@@ -469,6 +469,28 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
   return result;
 }
 
+std::vector<FigureTable> figure_tables(const CampaignResult& result) {
+  std::vector<double> decays;
+  for (const CellResult& cell : result.cells)
+    if (std::find(decays.begin(), decays.end(), cell.cell.decay) == decays.end())
+      decays.push_back(cell.cell.decay);
+
+  std::vector<FigureTable> tables;
+  for (const double decay : decays) {
+    std::vector<metrics::PolicyReport> reports;
+    for (std::size_t i = 0; i < result.cells.size(); ++i)
+      if (result.cells[i].cell.decay == decay) reports.push_back(result.reports[i]);
+    const std::string suffix =
+        decays.size() > 1 ? " (decay " + util::format_number(decay, 3) + ")" : "";
+    tables.push_back({"fairness" + suffix, metrics::fairness_summary_table(reports)});
+    tables.push_back({"performance" + suffix, metrics::performance_summary_table(reports)});
+    tables.push_back({"avg miss by width" + suffix, metrics::miss_by_width_table(reports)});
+    tables.push_back(
+        {"avg turnaround by width" + suffix, metrics::turnaround_by_width_table(reports)});
+  }
+  return tables;
+}
+
 void write_cells_csv(const CampaignResult& result, std::ostream& out) {
   out << "index,seed,decay,wcl_enforcement,policy,status";
   for (const std::string& metric : result.spec.metrics) out << ',' << metric;

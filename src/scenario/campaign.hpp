@@ -31,6 +31,7 @@
 #include "scenario/spec.hpp"
 #include "util/stats.hpp"
 #include "util/stop_token.hpp"
+#include "util/table.hpp"
 #include "workload/swf.hpp"
 
 namespace psched::scenario {
@@ -170,6 +171,20 @@ Workload build_workload(const WorkloadSpec& spec, std::uint64_t seed,
 /// or resume mismatches; per-cell simulation failures do NOT throw — they
 /// become status rows in the returned result (fault isolation).
 CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& options = {});
+
+/// One of the paper's figure tables, with the title it is printed under.
+struct FigureTable {
+  std::string title;
+  util::TextTable table;
+};
+
+/// The figure tables of a single-seed campaign with complete reports:
+/// fairness (Figs. 8, 9, 14, 15), performance (Figs. 11, 13, 17, 19) and the
+/// per-width breakdowns (Figs. 10, 12, 16, 18), in that order. Rows (columns
+/// of the by-width tables) are named by policy alone, so when the cells span
+/// more than one fairshare decay the four tables repeat once per decay, in
+/// expansion order, titled "<table> (decay <d>)".
+std::vector<FigureTable> figure_tables(const CampaignResult& result);
 
 /// Results store: one CSV row per cell
 /// ("index,seed,decay,wcl_enforcement,policy,status,<metric>.."; non-Ok rows

@@ -153,6 +153,7 @@ class SimulationEngine final : public SchedulerContext {
   const std::vector<RunningView>& running() const override { return running_view_; }
   double user_usage(UserId user) const override { return fairshare_.usage(user); }
   double mean_positive_usage() const override { return fairshare_.mean_positive_usage(); }
+  std::uint64_t fairshare_epoch() const override { return fairshare_.publish_epoch(); }
 
  private:
   enum class EventKind : int { Complete = 0, Arrive = 1, WclCheck = 2, Timer = 3 };

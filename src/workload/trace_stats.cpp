@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/stats.hpp"
-#include "util/time_format.hpp"
 
 namespace psched::workload {
 
@@ -27,19 +26,6 @@ CategoryHours category_proc_hours(const Workload& workload) {
     hours[w][l] += job.proc_seconds() / 3600.0;
   }
   return hours;
-}
-
-std::vector<double> weekly_offered_load(const Workload& workload) {
-  if (workload.jobs.empty()) return {};
-  const std::int64_t last_week = util::week_index(workload.jobs.back().submit);
-  std::vector<double> load(static_cast<std::size_t>(last_week) + 1, 0.0);
-  const double weekly_capacity =
-      static_cast<double>(workload.system_size) * static_cast<double>(util::kSecondsPerWeek);
-  for (const Job& job : workload.jobs) {
-    const auto week = static_cast<std::size_t>(util::week_index(job.submit));
-    load[week] += job.proc_seconds() / weekly_capacity;
-  }
-  return load;
 }
 
 std::vector<double> overestimation_factors(const Workload& workload) {

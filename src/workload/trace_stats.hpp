@@ -1,7 +1,8 @@
 #pragma once
 // Trace characterization: the quantities behind the paper's Tables 1-2 and
-// Figures 3-7 (offered load, runtime/width distribution, wall-clock-limit
-// over-estimation) computed from any Workload.
+// Figures 4-7 (runtime/width distribution, wall-clock-limit over-estimation)
+// computed from any Workload. Figure 3's weekly offered load comes from a
+// simulation result: metrics::weekly_series (metrics/weekly.hpp).
 
 #include <array>
 #include <vector>
@@ -19,10 +20,6 @@ CategoryCounts category_job_counts(const Workload& workload);
 
 /// Table 2: processor-hours per width x length category.
 CategoryHours category_proc_hours(const Workload& workload);
-
-/// Figure 3 (offered half): proc-seconds submitted in each week divided by
-/// the machine's weekly capacity. Weeks index from the trace epoch.
-std::vector<double> weekly_offered_load(const Workload& workload);
 
 /// Per-job over-estimation factor WCL / runtime (Figures 5-7).
 std::vector<double> overestimation_factors(const Workload& workload);

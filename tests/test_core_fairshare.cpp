@@ -73,6 +73,36 @@ TEST(Fairshare, PublishedValueOnlyRefreshesAtBoundary) {
   EXPECT_DOUBLE_EQ(t.usage(0), static_cast<double>(2 * kDay) * 0.5);
 }
 
+TEST(Fairshare, PublishEpochCountsCrossedBoundaries) {
+  // Start off the grid: the first boundary is 2 * kDay, then every kDay.
+  FairshareTracker t(0.9, kDay, kDay + 500);
+  EXPECT_EQ(t.publish_epoch(), 0u);
+  t.on_job_start(0, 4);
+  t.advance(2 * kDay - 1);  // accrues, publishes nothing
+  EXPECT_EQ(t.publish_epoch(), 0u);
+  EXPECT_DOUBLE_EQ(t.usage(0), 0.0);
+  t.advance(2 * kDay);  // lands exactly on a boundary
+  EXPECT_EQ(t.publish_epoch(), 1u);
+  const double published = t.usage(0);
+  EXPECT_GT(published, 0.0);
+  t.advance(2 * kDay);  // no time passes
+  EXPECT_EQ(t.publish_epoch(), 1u);
+  t.advance(3 * kDay - 1);  // usage keeps accruing, the published value holds
+  EXPECT_EQ(t.publish_epoch(), 1u);
+  EXPECT_DOUBLE_EQ(t.usage(0), published);
+  t.advance(6 * kDay + 7);  // one advance across four boundaries: 3, 4, 5, 6 days
+  EXPECT_EQ(t.publish_epoch(), 5u);
+  EXPECT_NE(t.usage(0), published);
+}
+
+TEST(Fairshare, PublishEpochMovesWithoutUsageToo) {
+  // The epoch marks every refresh point, whether or not a value changed.
+  FairshareTracker t(1.0, kDay);
+  t.advance(3 * kDay);
+  EXPECT_EQ(t.publish_epoch(), 3u);
+  EXPECT_DOUBLE_EQ(t.mean_positive_usage(), 0.0);
+}
+
 TEST(Fairshare, TimeBackwardsThrows) {
   FairshareTracker t(0.5, kDay);
   t.advance(100);

@@ -35,13 +35,21 @@ class FakeContext final : public SchedulerContext {
       }
     return n ? total / static_cast<double>(n) : 0.0;
   }
+  std::uint64_t fairshare_epoch() const override { return epoch_; }
+
+  /// Changes a user's usage and moves the epoch, as a decay boundary does.
+  void set_usage(UserId user, double value) {
+    usage_[user] = value;
+    ++epoch_;
+  }
 
   Time now_ = 0;
   NodeCount total_ = 16;
   NodeCount free_ = 16;
   std::vector<Job> jobs_;
   std::vector<RunningView> running_;
-  std::map<UserId, double> usage_;
+  std::map<UserId, double> usage_;  ///< write through set_usage()
+  std::uint64_t epoch_ = 0;
 };
 
 /// Expose the protected helpers for testing.
@@ -54,6 +62,17 @@ class ProbeScheduler final : public Scheduler {
 
   using Scheduler::add_running_to_profile;
   using Scheduler::sorted_by_priority;
+};
+
+/// A policy that keeps the base's wait queue, with its accessors exposed.
+class QueueProbe final : public Scheduler {
+ public:
+  std::string name() const override { return "queue-probe"; }
+  void collect_starts(std::vector<JobId>&) override {}
+
+  using Scheduler::dequeue;
+  using Scheduler::waiting;
+  using Scheduler::waiting_by_priority;
 };
 
 class SchedulerBaseTest : public ::testing::Test {
@@ -86,9 +105,9 @@ TEST_F(SchedulerBaseTest, FcfsPriorityOrdersBySubmitThenId) {
 }
 
 TEST_F(SchedulerBaseTest, FairsharePriorityOrdersByUsage) {
-  ctx_.usage_[0] = 5000.0;  // user 0 heavy
-  ctx_.usage_[1] = 10.0;
-  ctx_.usage_[2] = 100.0;
+  ctx_.set_usage(0, 5000.0);  // user 0 heavy
+  ctx_.set_usage(1, 10.0);
+  ctx_.set_usage(2, 100.0);
   const auto order = probe_.sorted_by_priority({0, 1, 2}, PriorityKind::Fairshare);
   EXPECT_EQ(order, (std::vector<JobId>{1, 2, 0}));
 }
@@ -102,12 +121,51 @@ TEST_F(SchedulerBaseTest, FairshareTiesFallBackToSubmit) {
 TEST_F(SchedulerBaseTest, TiedUsageSortsTheSameFromEitherInputOrder) {
   // Users 1 and 2 tie on usage and their jobs on submit time, so only the id
   // separates them; user 0 is heavier and goes last.
-  ctx_.usage_[0] = 5.0;
-  ctx_.usage_[1] = 1.0;
-  ctx_.usage_[2] = 1.0;
+  ctx_.set_usage(0, 5.0);
+  ctx_.set_usage(1, 1.0);
+  ctx_.set_usage(2, 1.0);
   const std::vector<JobId> expected{1, 2, 0};
   EXPECT_EQ(probe_.sorted_by_priority({0, 1, 2}, PriorityKind::Fairshare), expected);
   EXPECT_EQ(probe_.sorted_by_priority({2, 1, 0}, PriorityKind::Fairshare), expected);
+}
+
+TEST_F(SchedulerBaseTest, QueueStaysInOrderWithinAnEpoch) {
+  ctx_.jobs_.push_back(make_job(30, 100, 2, /*user=*/3));  // id 3
+  ctx_.jobs_.back().id = 3;
+  ctx_.set_usage(0, 50.0);
+  ctx_.set_usage(1, 10.0);
+  ctx_.set_usage(2, 30.0);
+  ctx_.set_usage(3, 20.0);
+  QueueProbe queue;
+  queue.attach(ctx_);
+  queue.on_submit(0);
+  queue.on_submit(1);
+  queue.on_submit(2);
+  // Nothing sorted yet: arrivals are appended.
+  EXPECT_EQ(queue.waiting(), (std::vector<JobId>{0, 1, 2}));
+  EXPECT_EQ(queue.waiting_by_priority(PriorityKind::Fairshare), (std::vector<JobId>{1, 2, 0}));
+
+  // Same epoch: the arrival lands at its slot with no further sort, and a
+  // removal keeps the rest in order.
+  queue.on_submit(3);
+  EXPECT_EQ(queue.waiting(), (std::vector<JobId>{1, 3, 2, 0}));
+  const std::vector<JobId> started{2};
+  queue.dequeue(started);
+  EXPECT_EQ(queue.waiting(), (std::vector<JobId>{1, 3, 0}));
+
+  // A new epoch: the next arrival is appended and the next read re-sorts
+  // under the new usage.
+  ctx_.set_usage(0, 1.0);
+  queue.on_submit(2);
+  EXPECT_EQ(queue.waiting(), (std::vector<JobId>{1, 3, 0, 2}));
+  EXPECT_EQ(queue.waiting_by_priority(PriorityKind::Fairshare),
+            (std::vector<JobId>{0, 1, 3, 2}));
+  // The FCFS order never depends on usage.
+  EXPECT_EQ(queue.waiting_by_priority(PriorityKind::Fcfs), (std::vector<JobId>{0, 1, 2, 3}));
+  ctx_.set_usage(3, 0.0);
+  queue.dequeue(started);
+  queue.on_submit(2);
+  EXPECT_EQ(queue.waiting(), (std::vector<JobId>{0, 1, 2, 3}));
 }
 
 TEST_F(SchedulerBaseTest, RunningProfileUsesEstimatedEnds) {

@@ -9,6 +9,7 @@
 
 #include "core/job.hpp"
 #include "core/policy.hpp"
+#include "metrics/weekly.hpp"
 #include "sim/engine.hpp"
 #include "workload/generator.hpp"
 
@@ -63,6 +64,17 @@ inline SimulationResult run_policy(const Workload& workload, PolicyKind kind,
   config.policy.kind = kind;
   config.policy.priority = priority;
   return sim::simulate(workload, config);
+}
+
+/// Figure 3's weekly offered load of `workload`, the way the figure gets it:
+/// simulate the trace (any policy; strict FCFS is the cheapest), then
+/// metrics::weekly_series. The series runs to the week of the last finish.
+inline std::vector<double> weekly_offered_load(const Workload& workload) {
+  sim::EngineConfig config;
+  config.policy.kind = PolicyKind::Fcfs;
+  config.policy.priority = PriorityKind::Fcfs;
+  config.record_snapshots = false;
+  return metrics::weekly_series(sim::simulate(workload, config)).offered_load;
 }
 
 /// Field-by-field workload equality — the byte-identity the streaming SWF

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/list_scheduler.hpp"
 #include "core/reference_profile.hpp"
 #include "sim/engine.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::metrics {
@@ -99,6 +104,84 @@ TEST(HybridFst, SerialAndParallelAgree) {
   ASSERT_EQ(a.fair_start.size(), b.fair_start.size());
   for (std::size_t i = 0; i < a.fair_start.size(); ++i)
     EXPECT_EQ(a.fair_start[i], b.fair_start[i]) << "record " << i;
+}
+
+/// The hybrid FST of one snapshot by a full sort of its waiting set (the
+/// definition): list-schedule every waiting job in fairshare order until the
+/// target is placed.
+Time full_sort_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, bool perfect) {
+  ListScheduler list(system_size, snapshot.at);
+  for (const SnapshotRunning& r : snapshot.running)
+    list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
+  std::vector<SnapshotWaiting> order = snapshot.waiting;
+  std::sort(order.begin(), order.end(), [](const SnapshotWaiting& a, const SnapshotWaiting& b) {
+    if (a.priority != b.priority) return a.priority < b.priority;
+    if (a.submit != b.submit) return a.submit < b.submit;
+    return a.id < b.id;
+  });
+  for (const SnapshotWaiting& w : order) {
+    const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+    if (w.id == snapshot.id) return start;
+  }
+  ADD_FAILURE() << "target missing from snapshot " << snapshot.id;
+  return kNoTime;
+}
+
+TEST(HybridFst, PrefixOrderingMatchesTheFullSortOnRandomSnapshots) {
+  // Random snapshots whose waiting jobs tie often on priority (three values)
+  // and on submit (four values), so many tie-breaks fall to the id; the
+  // target sits anywhere in the waiting list, not only at its end.
+  util::Rng rng(4242);
+  constexpr NodeCount kSystem = 48;
+  constexpr std::size_t kJobs = 400;
+  SimulationResult result;
+  result.system_size = kSystem;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ArrivalSnapshot snapshot;
+    snapshot.id = static_cast<JobId>(i);
+    snapshot.at = rng.uniform_int(1000, 2000);
+    for (NodeCount busy = 0;;) {
+      const auto nodes = static_cast<NodeCount>(rng.uniform_int(1, 12));
+      if (busy + nodes > kSystem || rng.uniform01() < 0.2) break;
+      busy += nodes;
+      const Time est = rng.uniform_int(1, 5000);
+      snapshot.running.push_back({nodes, rng.uniform_int(0, est), est});
+    }
+    const auto others = static_cast<std::size_t>(rng.uniform_int(0, 30));
+    const auto target_at = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(others)));
+    std::vector<JobId> ids;
+    for (std::size_t j = 0; j <= others; ++j) {
+      JobId id = static_cast<JobId>(i);
+      while (j != target_at &&
+             (id == snapshot.id || std::find(ids.begin(), ids.end(), id) != ids.end()))
+        id = static_cast<JobId>(rng.uniform_int(0, 2 * kJobs));
+      ids.push_back(id);
+      SnapshotWaiting w;
+      w.id = id;
+      w.nodes = static_cast<NodeCount>(rng.uniform_int(1, kSystem));
+      w.runtime = rng.uniform_int(1, 4000);
+      w.wcl = w.runtime + rng.uniform_int(0, 4000);
+      w.submit = snapshot.at - 100 * rng.uniform_int(0, 3);
+      w.priority = 0.5 * static_cast<double>(rng.uniform_int(0, 2));
+      snapshot.waiting.push_back(w);
+    }
+    JobRecord record;
+    record.job = make_job(snapshot.at, 100, 1);
+    record.job.id = snapshot.id;
+    record.start = snapshot.at;
+    record.finish = snapshot.at + 100;
+    result.records.push_back(record);
+    result.snapshots.push_back(std::move(snapshot));
+  }
+
+  for (const bool perfect : {true, false}) {
+    FstOptions options;
+    options.knowledge = perfect ? FstKnowledge::Perfect : FstKnowledge::Estimates;
+    const FstResult f = hybrid_fairshare_fst(result, options);
+    for (std::size_t i = 0; i < kJobs; ++i)
+      ASSERT_EQ(f.fair_start[i], full_sort_fst(result.snapshots[i], kSystem, perfect))
+          << "snapshot " << i << (perfect ? " (perfect)" : " (estimates)");
+  }
 }
 
 TEST(HybridFst, EstimateKnowledgeIsMoreLenient) {

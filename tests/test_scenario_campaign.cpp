@@ -18,6 +18,7 @@
 #include "metrics/selection.hpp"
 #include "sim/experiment.hpp"
 #include "test_helpers.hpp"
+#include "util/table.hpp"
 #include "workload/generator.hpp"
 #include "workload/swf.hpp"
 #include "workload/transform.hpp"
@@ -84,15 +85,52 @@ TEST(Campaign, CommittedFig14SpecMatchesTheFigureBinaryPath) {
     }
   }
   // Every rendered figure table psched_campaign prints for a single-seed
-  // campaign byte-diffs clean against the reference sweep.
-  EXPECT_EQ(metrics::fairness_summary_table(result.reports).str(),
-            metrics::fairness_summary_table(reference).str());
-  EXPECT_EQ(metrics::performance_summary_table(result.reports).str(),
-            metrics::performance_summary_table(reference).str());
-  EXPECT_EQ(metrics::miss_by_width_table(result.reports).str(),
-            metrics::miss_by_width_table(reference).str());
-  EXPECT_EQ(metrics::turnaround_by_width_table(result.reports).str(),
-            metrics::turnaround_by_width_table(reference).str());
+  // campaign byte-diffs clean against the reference sweep; one decay, so the
+  // titles carry no knob.
+  const std::vector<FigureTable> figures = figure_tables(result);
+  ASSERT_EQ(figures.size(), 4u);
+  EXPECT_EQ(figures[0].title, "fairness");
+  EXPECT_EQ(figures[0].table.str(), metrics::fairness_summary_table(reference).str());
+  EXPECT_EQ(figures[1].title, "performance");
+  EXPECT_EQ(figures[1].table.str(), metrics::performance_summary_table(reference).str());
+  EXPECT_EQ(figures[2].title, "avg miss by width");
+  EXPECT_EQ(figures[2].table.str(), metrics::miss_by_width_table(reference).str());
+  EXPECT_EQ(figures[3].title, "avg turnaround by width");
+  EXPECT_EQ(figures[3].table.str(), metrics::turnaround_by_width_table(reference).str());
+}
+
+TEST(Campaign, FigureTablesOfTheDecayAblationAreLabelledByDecay) {
+  // ablation_decay crosses two policies with four decay factors: eight cells
+  // that share two policy names. Each decay gets its own block of the four
+  // tables, and no table holds two rows (columns) of the same policy.
+  ScenarioSpec spec = parse_spec_file(kSourceDir + "/examples/campaigns/ablation_decay.spec");
+  ASSERT_EQ(spec.policy_names.size(), 2u);
+  spec.workload.scale = 0.02;
+  const CampaignResult result = run_campaign(spec);
+  ASSERT_TRUE(result.reports_complete);
+  ASSERT_EQ(result.cells.size(), 8u);
+
+  const std::vector<FigureTable> figures = figure_tables(result);
+  const std::vector<std::string> decays = {"0.5", "0.8", "0.9", "0.99"};
+  const std::vector<std::string> names = {"fairness", "performance", "avg miss by width",
+                                          "avg turnaround by width"};
+  ASSERT_EQ(figures.size(), decays.size() * names.size());
+  for (std::size_t d = 0; d < decays.size(); ++d) {
+    std::vector<metrics::PolicyReport> block;
+    for (std::size_t i = 0; i < result.cells.size(); ++i)
+      if (util::format_number(result.cells[i].cell.decay, 3) == decays[d])
+        block.push_back(result.reports[i]);
+    ASSERT_EQ(block.size(), 2u) << decays[d];
+    EXPECT_NE(block[0].policy, block[1].policy);
+    for (std::size_t t = 0; t < names.size(); ++t)
+      EXPECT_EQ(figures[d * names.size() + t].title, names[t] + " (decay " + decays[d] + ")");
+    const FigureTable& fairness = figures[d * names.size()];
+    EXPECT_EQ(fairness.table.str(), metrics::fairness_summary_table(block).str());
+    ASSERT_EQ(fairness.table.rows(), 2u);
+    EXPECT_EQ(fairness.table.cell(0, 0), spec.policy_names[0]);
+    EXPECT_EQ(fairness.table.cell(1, 0), spec.policy_names[1]);
+    EXPECT_EQ(figures[d * names.size() + 2].table.columns(), 3u);  // width + one per policy
+  }
 }
 
 TEST(Campaign, EveryCommittedSpecRunsAtSmallScale) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.hpp"
+#include "util/time_format.hpp"
 #include "workload/trace_stats.hpp"
 
 namespace psched::workload {
@@ -127,10 +129,15 @@ TEST(Generator, SmallUnderestimateFraction) {
 }
 
 TEST(Generator, WeeklyLoadIsBursty) {
-  const std::vector<double> offered = weekly_offered_load(full_trace());
+  const std::vector<double> offered = test::weekly_offered_load(full_trace());
   ASSERT_GE(offered.size(), 30u);
+  // Every week before the last submission week, which is partial; the
+  // series runs on to the last finish, but later weeks hold no submissions.
+  const auto submit_weeks =
+      static_cast<std::size_t>(util::week_index(full_trace().jobs.back().submit));
+  ASSERT_LT(submit_weeks, offered.size());
   double peak = 0.0, low = 1e9;
-  for (std::size_t w = 0; w + 1 < offered.size(); ++w) {  // last week is partial
+  for (std::size_t w = 0; w < submit_weeks; ++w) {
     peak = std::max(peak, offered[w]);
     low = std::min(low, offered[w]);
   }

@@ -35,11 +35,12 @@ TEST(TraceStats, CategoryProcHours) {
 }
 
 TEST(TraceStats, WeeklyOfferedLoad) {
-  // One job in week 0 using half the machine for half a week.
+  // One job in week 0 using half the machine for half a week; the second
+  // starts on arrival and finishes inside week 1.
   const Workload w = make_workload(
       4, {make_job(0, util::kSecondsPerWeek / 2, 2),
           make_job(util::kSecondsPerWeek + 10, util::kSecondsPerWeek / 4, 4)});
-  const std::vector<double> load = weekly_offered_load(w);
+  const std::vector<double> load = test::weekly_offered_load(w);
   ASSERT_EQ(load.size(), 2u);
   EXPECT_NEAR(load[0], 0.25, 1e-9);  // 2/4 nodes * 1/2 week
   EXPECT_NEAR(load[1], 0.25, 1e-9);  // 4/4 nodes * 1/4 week
@@ -47,7 +48,7 @@ TEST(TraceStats, WeeklyOfferedLoad) {
 
 TEST(TraceStats, WeeklyOfferedLoadEmpty) {
   const Workload w{{}, 4};
-  EXPECT_TRUE(weekly_offered_load(w).empty());
+  EXPECT_TRUE(test::weekly_offered_load(w).empty());
 }
 
 TEST(TraceStats, OverestimationFactors) {

@@ -45,10 +45,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "metrics/report.hpp"
 #include "obs/obs.hpp"
 #include "scenario/campaign.hpp"
 #include "util/atomic_file.hpp"
@@ -229,20 +227,13 @@ int main(int argc, char** argv) {
     std::cout << "# resume: replayed " << result.replayed_records << " journal records, restored "
               << result.restored_cells << " cells, simulated " << result.simulated_cells << '\n';
 
-  // A single-seed, fully-simulated campaign is exactly one policy sweep, so
-  // print the paper's figure tables for it: fairness (Figs. 8, 9, 14, 15),
-  // performance (Figs. 11, 13, 17, 19) and the per-width breakdowns
-  // (Figs. 10, 12, 16, 18). Restored or non-ok cells have no PolicyReport
-  // to tabulate.
+  // A single-seed, fully-simulated campaign is one policy sweep per decay,
+  // so print the paper's figure tables for it. Restored or non-ok cells have
+  // no PolicyReport to tabulate.
   if (plan.seeds.size() == 1 && result.reports_complete) {
-    const std::pair<const char*, util::TextTable> tables[] = {
-        {"fairness", metrics::fairness_summary_table(result.reports)},
-        {"performance", metrics::performance_summary_table(result.reports)},
-        {"avg miss by width", metrics::miss_by_width_table(result.reports)},
-        {"avg turnaround by width", metrics::turnaround_by_width_table(result.reports)},
-    };
-    for (const auto& [title, table] : tables)
-      std::cout << "\n== " << title << " ==\n" << (csv ? table.csv() : table.str());
+    for (const scenario::FigureTable& figure : scenario::figure_tables(result))
+      std::cout << "\n== " << figure.title << " ==\n"
+                << (csv ? figure.table.csv() : figure.table.str());
   }
 
   std::vector<std::string> header = {"policy", "decay", "n"};
