@@ -44,6 +44,10 @@ void record_pool_counters(benchmark::State& state, bool parallel) {
 
 /// The seed per-snapshot FST computation, verbatim: a freshly allocated
 /// per-node list scheduler and a freshly allocated order buffer per snapshot.
+/// The seed read full snapshots (every waiting job); the engine now records
+/// only the jobs ahead of the arrival in fairshare order plus the job itself,
+/// so this reference sorts an already-sorted prefix and the pair measures
+/// both loops on today's (shorter) snapshots.
 Time reference_snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size,
                             metrics::FstKnowledge knowledge) {
   const bool perfect = knowledge == metrics::FstKnowledge::Perfect;

@@ -44,11 +44,16 @@ struct SnapshotWaiting {
 };
 
 /// System state captured at one job's arrival: the input of the paper's
-/// hybrid FST metric (section 4.1). `waiting` includes the arriving job.
+/// hybrid FST metric (section 4.1).
 struct ArrivalSnapshot {
   JobId id = kInvalidJob;
   Time at = kNoTime;
   std::vector<SnapshotRunning> running;
+  /// The waiting jobs strictly ahead of the arriving job in fairshare order
+  /// (ascending `priority`, then `submit`, then `id`), in that order, then
+  /// the arriving job itself as the last entry. Jobs behind it are left out:
+  /// the FST list schedule ends where the arriving job is placed, so they
+  /// could not change its start.
   std::vector<SnapshotWaiting> waiting;
 };
 

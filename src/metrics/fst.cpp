@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/list_scheduler.hpp"
 #include "core/profile.hpp"
@@ -13,11 +14,10 @@ namespace psched::metrics {
 namespace {
 
 /// Reusable per-thread state for the per-job FST loop. One simulation can
-/// have thousands of snapshots; reusing the list scheduler and the sort
-/// buffer keeps the loop allocation-free after warm-up.
+/// have thousands of snapshots; reusing the list scheduler keeps the loop
+/// allocation-free after warm-up.
 struct FstScratch {
   std::optional<ListScheduler> list;
-  std::vector<const SnapshotWaiting*> order;
 
   ListScheduler& list_for(NodeCount system_size, Time origin) {
     if (!list || list->node_count() != system_size)
@@ -28,40 +28,26 @@ struct FstScratch {
   }
 };
 
-/// FST of one snapshot: list-schedule the waiting set in fairshare priority
-/// order on top of the running jobs; return the target job's start.
+/// FST of one snapshot: list-schedule its waiting list, in order, on top of
+/// the running jobs; the last entry is the target and its start is the FST.
+/// The engine records exactly the jobs ahead of the target in fairshare
+/// order (lower published usage, then earlier submit, then lower id — the
+/// order of Scheduler::sorted_by_priority), so nothing is filtered or sorted
+/// here.
 Time snapshot_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, FstKnowledge knowledge,
                   FstScratch& scratch) {
+  if (snapshot.waiting.empty() || snapshot.waiting.back().id != snapshot.id)
+    throw std::logic_error("snapshot_fst: the waiting list of snapshot " +
+                           std::to_string(snapshot.id) + " does not end with its own job");
   const bool perfect = knowledge == FstKnowledge::Perfect;
   ListScheduler& list = scratch.list_for(system_size, snapshot.at);
   for (const SnapshotRunning& r : snapshot.running)
     list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
 
-  // Fairshare order: lower decayed usage first; ties by submit then id —
-  // identical to Scheduler::sorted_by_priority so the metric matches the
-  // policy's notion of a socially just order. The list schedule stops at the
-  // target, so only the jobs strictly ahead of it need ordering. The target
-  // is normally the snapshot's last entry (the engine records it on arrival).
-  const auto ahead = [](const SnapshotWaiting& a, const SnapshotWaiting& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  };
-  const auto target = std::find_if(snapshot.waiting.rbegin(), snapshot.waiting.rend(),
-                                   [&](const SnapshotWaiting& w) { return w.id == snapshot.id; });
-  if (target == snapshot.waiting.rend())
-    throw std::logic_error("snapshot_fst: target job missing from its own snapshot");
-
-  std::vector<const SnapshotWaiting*>& order = scratch.order;
-  order.clear();
+  Time start = kNoTime;
   for (const SnapshotWaiting& w : snapshot.waiting)
-    if (ahead(w, *target)) order.push_back(&w);
-  std::sort(order.begin(), order.end(),
-            [&](const SnapshotWaiting* a, const SnapshotWaiting* b) { return ahead(*a, *b); });
-
-  for (const SnapshotWaiting* w : order)
-    list.schedule(w->nodes, perfect ? w->runtime : w->wcl, snapshot.at);
-  return list.schedule(target->nodes, perfect ? target->runtime : target->wcl, snapshot.at);
+    start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
+  return start;
 }
 
 }  // namespace

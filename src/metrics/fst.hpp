@@ -8,7 +8,10 @@
 // fairshare priorities) and build a *no-holes list schedule* of the waiting
 // jobs in fairshare order using perfect runtimes. The job's start time in
 // that hypothetical schedule is its fair start time; starting later than the
-// FST in the real schedule means lower-priority jobs got in its way.
+// FST in the real schedule means lower-priority jobs got in its way. The
+// engine's snapshot already holds just the jobs ahead of the arriving one,
+// in fairshare order, with the job itself last (ArrivalSnapshot::waiting),
+// so the metric list-schedules each snapshot as it stands.
 //
 //   AverageMissTime = sum_j max(0, start_j - FST_j) / |jobs|        (Eq. 5)
 //   PercentUnfair   = |{j : start_j - FST_j > tolerance}| / |jobs|
@@ -77,8 +80,10 @@ struct FstResult {
   std::array<std::size_t, kWidthCategories> unfair_by_width{};
 };
 
-/// The paper's hybrid fairshare FST. Requires result.snapshots (throws if
-/// the engine ran with record_snapshots = false).
+/// The paper's hybrid fairshare FST. Requires result.snapshots (throws
+/// std::invalid_argument if the engine ran with record_snapshots = false)
+/// and throws std::logic_error for a snapshot whose waiting list does not
+/// end with its own job.
 FstResult hybrid_fairshare_fst(const SimulationResult& result, const FstOptions& options = {});
 
 /// CONS_P FST: one conservative FCFS perfect-estimate schedule of the whole

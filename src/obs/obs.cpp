@@ -26,6 +26,7 @@ struct CounterInfo {
 constexpr CounterInfo kCounterInfo[kCounterCount] = {
     {"engine.events_delivered", true},
     {"engine.scheduler_invocations", true},
+    {"engine.snapshot_entries", true},
     {"scheduler.replan_full", true},
     {"scheduler.replan_incremental", true},
     {"scheduler.queue_sorts", true},

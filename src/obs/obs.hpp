@@ -48,6 +48,7 @@ enum class Counter : std::size_t {
   // deterministic class
   kEngineEventsDelivered,       ///< sim/engine.cpp: events consumed by run_loop
   kEngineSchedulerInvocations,  ///< sim/engine.cpp: collect_starts batches
+  kEngineSnapshotEntries,       ///< sim/engine.cpp: SnapshotWaiting entries recorded
   kSchedReplanFull,             ///< core/conservative_scheduler.cpp: full rebuilds
   kSchedReplanIncremental,      ///< core/conservative_scheduler.cpp: incremental attempts
   kSchedQueueSorts,             ///< core/scheduler.cpp: full wait-queue sorts

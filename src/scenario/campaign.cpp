@@ -66,6 +66,26 @@ std::string persistent_cell_key(std::uint64_t workload_fp, const ScenarioSpec& s
   return prefix + cell.key;
 }
 
+/// The heavy-user factor a cell's policy runs with; nullopt when it never
+/// reads one. Only CPlant with the heavy-user bar does; cells are normalized
+/// (normalize_irrelevant_knobs), so the bar is already off wherever the
+/// starvation queue is off.
+std::optional<double> heavy_user_factor_of(const PolicyConfig& policy) {
+  if (policy.kind != PolicyKind::Cplant || !policy.bar_heavy_users) return std::nullopt;
+  return policy.heavy_user_factor;
+}
+
+void add_unique(std::vector<double>& values, double value) {
+  if (std::find(values.begin(), values.end(), value) == values.end()) values.push_back(value);
+}
+
+std::string ci_cell(const util::BootstrapCi& ci, std::size_t replicates) {
+  std::string out = util::format_number(ci.mean, 4);
+  if (replicates > 1)
+    out += " [" + util::format_number(ci.lo, 4) + ", " + util::format_number(ci.hi, 4) + "]";
+  return out;
+}
+
 const char* wcl_name(sim::WclEnforcement wcl) {
   switch (wcl) {
     case sim::WclEnforcement::Never: return "never";
@@ -453,6 +473,7 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
     const CampaignCell& first = result.cells[slot.cell_positions.front()].cell;
     aggregate.policy = first.policy.display_name();
     aggregate.decay = first.decay;
+    aggregate.heavy_user_factor = heavy_user_factor_of(first.policy);
     aggregate.replicates = slot.cell_positions.size();
     const util::Rng agg_rng = bootstrap_base.fork(a);
     for (std::size_t m = 0; m < spec.metrics.size(); ++m) {
@@ -471,24 +492,65 @@ CampaignResult run_campaign(const ScenarioSpec& spec, const CampaignOptions& opt
 
 std::vector<FigureTable> figure_tables(const CampaignResult& result) {
   std::vector<double> decays;
-  for (const CellResult& cell : result.cells)
-    if (std::find(decays.begin(), decays.end(), cell.cell.decay) == decays.end())
-      decays.push_back(cell.cell.decay);
+  std::vector<double> factors;
+  for (const CellResult& cell : result.cells) {
+    add_unique(decays, cell.cell.decay);
+    if (const std::optional<double> factor = heavy_user_factor_of(cell.cell.policy))
+      add_unique(factors, *factor);
+  }
+  // One block per factor only when the factor varies (nullopt: no split).
+  std::vector<std::optional<double>> factor_blocks(factors.begin(), factors.end());
+  if (factor_blocks.size() <= 1) factor_blocks.assign(1, std::nullopt);
 
   std::vector<FigureTable> tables;
   for (const double decay : decays) {
-    std::vector<metrics::PolicyReport> reports;
-    for (std::size_t i = 0; i < result.cells.size(); ++i)
-      if (result.cells[i].cell.decay == decay) reports.push_back(result.reports[i]);
-    const std::string suffix =
-        decays.size() > 1 ? " (decay " + util::format_number(decay, 3) + ")" : "";
-    tables.push_back({"fairness" + suffix, metrics::fairness_summary_table(reports)});
-    tables.push_back({"performance" + suffix, metrics::performance_summary_table(reports)});
-    tables.push_back({"avg miss by width" + suffix, metrics::miss_by_width_table(reports)});
-    tables.push_back(
-        {"avg turnaround by width" + suffix, metrics::turnaround_by_width_table(reports)});
+    for (const std::optional<double>& factor : factor_blocks) {
+      std::vector<metrics::PolicyReport> reports;
+      for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        const CampaignCell& cell = result.cells[i].cell;
+        const std::optional<double> cell_factor = heavy_user_factor_of(cell.policy);
+        if (cell.decay == decay && (!factor || !cell_factor || *cell_factor == *factor))
+          reports.push_back(result.reports[i]);
+      }
+      std::string suffix;
+      if (decays.size() > 1) suffix = "decay " + util::format_number(decay, 3);
+      if (factor)
+        suffix += (suffix.empty() ? "factor " : ", factor ") + util::format_number(*factor, 3);
+      if (!suffix.empty()) suffix = " (" + suffix + ")";
+      tables.push_back({"fairness" + suffix, metrics::fairness_summary_table(reports)});
+      tables.push_back({"performance" + suffix, metrics::performance_summary_table(reports)});
+      tables.push_back({"avg miss by width" + suffix, metrics::miss_by_width_table(reports)});
+      tables.push_back(
+          {"avg turnaround by width" + suffix, metrics::turnaround_by_width_table(reports)});
+    }
   }
   return tables;
+}
+
+util::TextTable summary_table(const CampaignResult& result) {
+  std::vector<double> factors;
+  for (const AggregateResult& aggregate : result.aggregates)
+    if (aggregate.heavy_user_factor) add_unique(factors, *aggregate.heavy_user_factor);
+  const bool factor_column = factors.size() > 1;
+
+  std::vector<std::string> header = {"policy", "decay"};
+  if (factor_column) header.push_back("factor");
+  header.push_back("n");
+  for (const std::string& metric : result.spec.metrics) header.push_back(metric);
+  util::TextTable table(header);
+  for (const AggregateResult& aggregate : result.aggregates) {
+    table.begin_row().add(aggregate.policy).add(aggregate.decay, 3);
+    if (factor_column) {
+      if (aggregate.heavy_user_factor)
+        table.add(*aggregate.heavy_user_factor, 3);
+      else
+        table.add("-");
+    }
+    table.add_int(static_cast<long long>(aggregate.replicates));
+    for (const util::BootstrapCi& ci : aggregate.metrics)
+      table.add(ci_cell(ci, aggregate.replicates));
+  }
+  return table;
 }
 
 void write_cells_csv(const CampaignResult& result, std::ostream& out) {

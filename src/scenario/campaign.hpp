@@ -91,6 +91,9 @@ struct CellResult {
 struct AggregateResult {
   std::string policy;   ///< display name
   double decay = 0.9;
+  /// The policy's heavy-user factor; nullopt when it never reads one (only
+  /// CPlant with the heavy-user bar does). The display name omits it.
+  std::optional<double> heavy_user_factor;
   std::size_t replicates = 0;
   std::vector<util::BootstrapCi> metrics;  ///< spec.metrics order
 };
@@ -183,8 +186,18 @@ struct FigureTable {
 /// per-width breakdowns (Figs. 10, 12, 16, 18), in that order. Rows (columns
 /// of the by-width tables) are named by policy alone, so when the cells span
 /// more than one fairshare decay the four tables repeat once per decay, in
-/// expansion order, titled "<table> (decay <d>)".
+/// expansion order, titled "<table> (decay <d>)". Likewise per heavy-user
+/// factor when the heavy-user-barring cells span more than one: titles gain
+/// "factor <f>" ("<table> (decay <d>, factor <f>)" when both vary), and a
+/// policy that never reads the factor appears in every factor's block.
 std::vector<FigureTable> figure_tables(const CampaignResult& result);
+
+/// The campaign summary: one row per aggregate with its policy, decay,
+/// replicate count and one "mean [lo, hi]" cell per metric (the interval
+/// only with more than one replicate). When the aggregates span more than
+/// one heavy-user factor a "factor" column follows "decay" ("-" for a policy
+/// that never reads it), since the display name omits the factor.
+util::TextTable summary_table(const CampaignResult& result);
 
 /// Results store: one CSV row per cell
 /// ("index,seed,decay,wcl_enforcement,policy,status,<metric>.."; non-Ok rows

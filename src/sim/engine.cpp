@@ -15,6 +15,15 @@ constexpr Time kFairsharePeriod = days(1);
 /// Re-test interval for spared over-running jobs under KillIfNeeded.
 constexpr Time kWclRecheckInterval = hours(1);
 
+/// Fairshare order, as Scheduler::sorted_by_priority ranks a Fairshare
+/// queue: lower published usage first, then earlier submit, then lower id.
+/// Ids are unique, so this is a strict total order.
+bool fairshare_ahead(const SnapshotWaiting& a, const SnapshotWaiting& b) {
+  if (a.priority != b.priority) return a.priority < b.priority;
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
 }  // namespace
 
 SimulationEngine::SimulationEngine(const Workload& workload, EngineConfig config)
@@ -179,7 +188,21 @@ void SimulationEngine::advance_accounting(Time to) {
   now_ = to;
 }
 
-void SimulationEngine::record_snapshot(JobId id) {
+std::size_t SimulationEngine::record_snapshot(JobId id) {
+  refresh_fairshare_order();
+  const Job& j = job(id);
+  SnapshotWaiting arriving;
+  arriving.id = id;
+  arriving.nodes = j.nodes;
+  arriving.runtime = j.runtime;
+  arriving.wcl = j.wcl;
+  arriving.submit = j.submit;
+  arriving.priority = fairshare_.usage(j.user);
+  const auto slot = fairshare_order_.insert(
+      std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(), arriving,
+                       fairshare_ahead),
+      arriving);
+
   ArrivalSnapshot snapshot;
   snapshot.id = id;
   snapshot.at = now_;
@@ -191,19 +214,35 @@ void SimulationEngine::record_snapshot(JobId id) {
     r.est_remaining = std::max<Time>(1, running_view_[i].est_end - now_);
     snapshot.running.push_back(r);
   }
-  snapshot.waiting.reserve(waiting_.size());
-  for (const JobId waiting_id : waiting_) {
-    const Job& j = job(waiting_id);
-    SnapshotWaiting w;
-    w.id = waiting_id;
-    w.nodes = j.nodes;
-    w.runtime = j.runtime;
-    w.wcl = j.wcl;
-    w.submit = j.submit;
-    w.priority = fairshare_.usage(j.user);
-    snapshot.waiting.push_back(w);
-  }
+  // Everything ahead of the arriving job, then the job: all the hybrid FST
+  // list-schedules, since its schedule ends where the job is placed.
+  snapshot.waiting.assign(fairshare_order_.begin(), slot + 1);
+  const std::size_t entries = snapshot.waiting.size();
   result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
+  return entries;
+}
+
+void SimulationEngine::refresh_fairshare_order() {
+  const std::uint64_t epoch = fairshare_.publish_epoch();
+  if (epoch == fairshare_order_epoch_) return;
+  for (SnapshotWaiting& w : fairshare_order_) w.priority = fairshare_.usage(job(w.id).user);
+  std::sort(fairshare_order_.begin(), fairshare_order_.end(), fairshare_ahead);
+  fairshare_order_epoch_ = epoch;
+}
+
+void SimulationEngine::fairshare_order_erase(JobId id) {
+  refresh_fairshare_order();
+  const Job& j = job(id);
+  SnapshotWaiting key;
+  key.id = id;
+  key.submit = j.submit;
+  key.priority = fairshare_.usage(j.user);
+  const auto it =
+      std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(), key, fairshare_ahead);
+  if (it == fairshare_order_.end() || it->id != id)
+    throw std::logic_error("engine: waiting job " + std::to_string(id) +
+                           " missing from the fairshare order");
+  fairshare_order_.erase(it);
 }
 
 void SimulationEngine::remove_waiting(JobId id) {
@@ -218,12 +257,13 @@ void SimulationEngine::remove_waiting(JobId id) {
   set_waiting_pos(id, -1);
 }
 
-void SimulationEngine::deliver_arrival(JobId id) {
+std::size_t SimulationEngine::deliver_arrival(JobId id) {
   set_waiting_pos(id, static_cast<std::int32_t>(waiting_.size()));
   waiting_.push_back(id);
   waiting_demand_ += job(id).nodes;
-  if (config_.record_snapshots) record_snapshot(id);
+  const std::size_t entries = config_.record_snapshots ? record_snapshot(id) : 0;
   scheduler_->on_submit(id);
+  return entries;
 }
 
 void SimulationEngine::start_job(JobId id) {
@@ -232,6 +272,7 @@ void SimulationEngine::start_job(JobId id) {
     throw std::logic_error("engine: scheduler started " + std::to_string(j.nodes) +
                            " nodes with only " + std::to_string(free_nodes_) + " free");
   remove_waiting(id);
+  if (config_.record_snapshots) fairshare_order_erase(id);
   waiting_demand_ -= j.nodes;
   free_nodes_ -= j.nodes;
   running_nodes_ += j.nodes;
@@ -348,20 +389,23 @@ std::size_t SimulationEngine::fork_footprint_bytes() const {
 }
 
 void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
-  // Count events/invocations in locals (no atomics in the hot loop) and
-  // flush once per run_loop call — the destructor also runs on the early
-  // fork return and on SimulationCancelled, so partial passes still report.
+  // Count events, invocations and snapshot entries in locals (no atomics in
+  // the hot loop) and flush once per run_loop call — the destructor also
+  // runs on the early fork return and on SimulationCancelled, so partial
+  // passes still report.
   // The obs bumps are each one relaxed load when tracing is disarmed.
   struct CounterFlush {
     explicit CounterFlush(SimulationResult* r) : result(r) {}
     SimulationResult* result;
     std::uint64_t events = 0;
     std::uint64_t invocations = 0;
+    std::uint64_t snapshot_entries = 0;
     ~CounterFlush() {
       result->events_delivered += events;
       result->scheduler_invocations += invocations;
       obs::count(obs::Counter::kEngineEventsDelivered, events);
       obs::count(obs::Counter::kEngineSchedulerInvocations, invocations);
+      obs::count(obs::Counter::kEngineSnapshotEntries, snapshot_entries);
     }
   } flush{&result_};
 
@@ -396,7 +440,7 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
           deliver_completion(event.id, t, /*killed=*/false);
           break;
         case EventKind::Arrive:
-          deliver_arrival(event.id);
+          flush.snapshot_entries += deliver_arrival(event.id);
           break;
         case EventKind::WclCheck:
           handle_wcl_check(event.id);

@@ -9,6 +9,12 @@
 // trace preprocessing: an original job longer than the limit becomes
 // several segments, all submitted at the original's submit time.
 //
+// Arrival snapshots (record_snapshots) hold what the hybrid FST reads and no
+// more: the jobs ahead of the arriving job in fairshare order (published
+// usage, submit, id), then the job itself. The engine keeps its waiting set
+// in that order for them, re-keyed only when the fairshare publish epoch
+// moves, so recording a snapshot copies a prefix and sorts nothing.
+//
 // Arrival events are NOT pre-seeded into the event heap: the seeded records
 // are already sorted by (submit, record id) — exactly the heap's ordering —
 // so a cursor over them is merged with the heap on the fly. The heap only
@@ -71,7 +77,9 @@ struct EngineConfig {
   /// use overnight.
   double fairshare_decay = 0.9;
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
-  bool record_snapshots = true;  ///< needed by the FST metrics
+  /// Record an ArrivalSnapshot per arrival (the hybrid FST's input; see
+  /// ArrivalSnapshot for what its waiting list holds).
+  bool record_snapshots = true;
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
   /// When it trips, the run throws SimulationCancelled. Empty (the default)
@@ -186,15 +194,24 @@ class SimulationEngine final : public SchedulerContext {
   bool is_fork() const { return arrival_limit_ != kInvalidJob; }
 
   void advance_accounting(Time to);
-  void deliver_arrival(JobId id);
+  /// Returns the number of snapshot waiting entries it recorded (0 when
+  /// snapshots are off).
+  std::size_t deliver_arrival(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
-  void record_snapshot(JobId id);
+  /// Insert `id` into fairshare_order_ and record its snapshot: the order's
+  /// prefix up to and including `id`. Returns that prefix's length.
+  std::size_t record_snapshot(JobId id);
+  /// Re-key fairshare_order_ to the current published usage and re-sort it,
+  /// if the fairshare epoch moved since it was last keyed.
+  void refresh_fairshare_order();
+  /// Remove `id` from fairshare_order_, found by binary search.
+  void fairshare_order_erase(JobId id);
   void start_job(JobId id);
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
   /// O(1) removal from the waiting set (swap-pop via the position index).
-  /// The waiting set is unordered; consumers that need an order sort by
-  /// their own keys.
+  /// The waiting set is unordered; the fairshare order snapshots need lives
+  /// in fairshare_order_.
   void remove_waiting(JobId id);
 
   // Start times and the waiting-position index live in the dense record
@@ -250,6 +267,13 @@ class SimulationEngine final : public SchedulerContext {
   std::vector<RunningView> running_view_;
   std::vector<JobId> waiting_;                // record ids not yet started (unordered)
   std::vector<std::int32_t> waiting_pos_;     // master: record id -> index in waiting_ (-1 = absent)
+  /// Snapshot recording only (empty otherwise, and on every fork): the
+  /// waiting set as snapshot entries in fairshare order, each keyed with its
+  /// owner's published usage as of fairshare_order_epoch_. Arrivals insert
+  /// and starts erase by binary search; the whole vector is re-keyed and
+  /// re-sorted only after the publish epoch moved.
+  std::vector<SnapshotWaiting> fairshare_order_;
+  std::uint64_t fairshare_order_epoch_ = 0;
   // Fork overlays (lookups only, never iterated — determinism-safe).
   std::unordered_map<JobId, Time> fork_starts_;
   std::unordered_map<JobId, std::int32_t> fork_waiting_pos_;

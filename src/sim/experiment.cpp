@@ -60,6 +60,9 @@ const ExperimentResult& ExperimentRunner::run(const PolicyConfig& policy, util::
     if (stop.valid()) config.stop = stop;
     result->simulation = simulate(workload_, config);
     result->report = metrics::evaluate(result->simulation, fst_options_);
+    // The hybrid FST was the snapshots' only reader; a cached result keeps
+    // records and report but not the per-arrival snapshots.
+    result->simulation.snapshots = std::vector<ArrivalSnapshot>();
     if (fst_options_.policy_knowledge) {
       // The forked-engine FST re-runs the policy itself, so it needs the
       // workload and config — this is the one place with both in hand. The

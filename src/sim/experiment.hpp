@@ -30,6 +30,8 @@ namespace psched::sim {
 
 struct ExperimentResult {
   PolicyConfig policy;
+  /// The run's records and totals. Its per-arrival snapshots are released
+  /// once `report` is computed (empty here), as nothing reads them later.
   SimulationResult simulation;
   metrics::PolicyReport report;
   /// Drain observability from the policy-knowledge FST pass (zeros when the

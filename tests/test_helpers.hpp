@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/policy.hpp"
 #include "metrics/weekly.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::test {
@@ -55,6 +57,29 @@ inline Workload stress_workload(std::uint64_t seed, std::size_t jobs = 300,
   Workload out = edit.build();
   out.validate();
   return out;
+}
+
+/// Every submit, runtime and WCL is a multiple of `grid` (300 s by default;
+/// the one-day fairshare period is a multiple of it), and about half the
+/// jobs share their submit second with the previous one, so completions,
+/// WCL checks and decay boundaries land exactly on arrivals. A fork taken at
+/// the next job's arrival hook is then often mid-instant: that instant's
+/// events are consumed and its scheduling pass is still owed. Every 3rd job
+/// underestimates its runtime.
+inline Workload grid_aligned_workload(std::uint64_t seed, std::size_t jobs = 90,
+                                      NodeCount system_size = 64, Time grid = 300) {
+  util::Rng rng(seed);
+  std::vector<Job> out;
+  Time submit = 0;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    if (i > 0 && !rng.flip(0.5)) submit += grid * rng.uniform_int(1, 6);
+    const Time runtime = grid * rng.uniform_int(1, 36);
+    const Time wcl = i % 3 == 0 ? std::max(grid, runtime / (2 * grid) * grid)
+                                : runtime + grid * rng.uniform_int(0, 4);
+    const auto nodes = static_cast<NodeCount>(rng.uniform_int(1, system_size / 2));
+    out.push_back(make_job(submit, runtime, nodes, static_cast<UserId>(i % 5), wcl));
+  }
+  return make_workload(system_size, std::move(out));
 }
 
 /// Run one policy on a workload with default engine settings.

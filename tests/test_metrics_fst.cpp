@@ -106,19 +106,22 @@ TEST(HybridFst, SerialAndParallelAgree) {
     EXPECT_EQ(a.fair_start[i], b.fair_start[i]) << "record " << i;
 }
 
-/// The hybrid FST of one snapshot by a full sort of its waiting set (the
-/// definition): list-schedule every waiting job in fairshare order until the
-/// target is placed.
+/// Fairshare order of snapshot entries: lower usage, then submit, then id.
+bool fairshare_before(const SnapshotWaiting& a, const SnapshotWaiting& b) {
+  if (a.priority != b.priority) return a.priority < b.priority;
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
+/// The hybrid FST of one full snapshot (every waiting job, in any order) by
+/// a full sort of its waiting set (the definition): list-schedule every
+/// waiting job in fairshare order until the target is placed.
 Time full_sort_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, bool perfect) {
   ListScheduler list(system_size, snapshot.at);
   for (const SnapshotRunning& r : snapshot.running)
     list.occupy(r.nodes, snapshot.at + std::max<Time>(perfect ? r.remaining : r.est_remaining, 0));
   std::vector<SnapshotWaiting> order = snapshot.waiting;
-  std::sort(order.begin(), order.end(), [](const SnapshotWaiting& a, const SnapshotWaiting& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  });
+  std::sort(order.begin(), order.end(), fairshare_before);
   for (const SnapshotWaiting& w : order) {
     const Time start = list.schedule(w.nodes, perfect ? w.runtime : w.wcl, snapshot.at);
     if (w.id == snapshot.id) return start;
@@ -128,24 +131,27 @@ Time full_sort_fst(const ArrivalSnapshot& snapshot, NodeCount system_size, bool 
 }
 
 TEST(HybridFst, PrefixOrderingMatchesTheFullSortOnRandomSnapshots) {
-  // Random snapshots whose waiting jobs tie often on priority (three values)
+  // Random full waiting sets whose jobs tie often on priority (three values)
   // and on submit (four values), so many tie-breaks fall to the id; the
-  // target sits anywhere in the waiting list, not only at its end.
+  // target sits anywhere in the set, as in an unordered queue. The recorded
+  // snapshot is the set's fairshare-sorted prefix up to and including the
+  // target, and its FST must equal the full sort's.
   util::Rng rng(4242);
   constexpr NodeCount kSystem = 48;
   constexpr std::size_t kJobs = 400;
   SimulationResult result;
   result.system_size = kSystem;
+  std::vector<ArrivalSnapshot> full_snapshots;
   for (std::size_t i = 0; i < kJobs; ++i) {
-    ArrivalSnapshot snapshot;
-    snapshot.id = static_cast<JobId>(i);
-    snapshot.at = rng.uniform_int(1000, 2000);
+    ArrivalSnapshot full;
+    full.id = static_cast<JobId>(i);
+    full.at = rng.uniform_int(1000, 2000);
     for (NodeCount busy = 0;;) {
       const auto nodes = static_cast<NodeCount>(rng.uniform_int(1, 12));
       if (busy + nodes > kSystem || rng.uniform01() < 0.2) break;
       busy += nodes;
       const Time est = rng.uniform_int(1, 5000);
-      snapshot.running.push_back({nodes, rng.uniform_int(0, est), est});
+      full.running.push_back({nodes, rng.uniform_int(0, est), est});
     }
     const auto others = static_cast<std::size_t>(rng.uniform_int(0, 30));
     const auto target_at = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(others)));
@@ -153,7 +159,7 @@ TEST(HybridFst, PrefixOrderingMatchesTheFullSortOnRandomSnapshots) {
     for (std::size_t j = 0; j <= others; ++j) {
       JobId id = static_cast<JobId>(i);
       while (j != target_at &&
-             (id == snapshot.id || std::find(ids.begin(), ids.end(), id) != ids.end()))
+             (id == full.id || std::find(ids.begin(), ids.end(), id) != ids.end()))
         id = static_cast<JobId>(rng.uniform_int(0, 2 * kJobs));
       ids.push_back(id);
       SnapshotWaiting w;
@@ -161,17 +167,30 @@ TEST(HybridFst, PrefixOrderingMatchesTheFullSortOnRandomSnapshots) {
       w.nodes = static_cast<NodeCount>(rng.uniform_int(1, kSystem));
       w.runtime = rng.uniform_int(1, 4000);
       w.wcl = w.runtime + rng.uniform_int(0, 4000);
-      w.submit = snapshot.at - 100 * rng.uniform_int(0, 3);
+      w.submit = full.at - 100 * rng.uniform_int(0, 3);
       w.priority = 0.5 * static_cast<double>(rng.uniform_int(0, 2));
-      snapshot.waiting.push_back(w);
+      full.waiting.push_back(w);
     }
+
+    ArrivalSnapshot prefix;
+    prefix.id = full.id;
+    prefix.at = full.at;
+    prefix.running = full.running;
+    prefix.waiting = full.waiting;
+    std::sort(prefix.waiting.begin(), prefix.waiting.end(), fairshare_before);
+    const auto target = std::find_if(prefix.waiting.begin(), prefix.waiting.end(),
+                                     [&](const SnapshotWaiting& w) { return w.id == full.id; });
+    ASSERT_NE(target, prefix.waiting.end());
+    prefix.waiting.erase(target + 1, prefix.waiting.end());
+
     JobRecord record;
-    record.job = make_job(snapshot.at, 100, 1);
-    record.job.id = snapshot.id;
-    record.start = snapshot.at;
-    record.finish = snapshot.at + 100;
+    record.job = make_job(full.at, 100, 1);
+    record.job.id = full.id;
+    record.start = full.at;
+    record.finish = full.at + 100;
     result.records.push_back(record);
-    result.snapshots.push_back(std::move(snapshot));
+    result.snapshots.push_back(std::move(prefix));
+    full_snapshots.push_back(std::move(full));
   }
 
   for (const bool perfect : {true, false}) {
@@ -179,8 +198,41 @@ TEST(HybridFst, PrefixOrderingMatchesTheFullSortOnRandomSnapshots) {
     options.knowledge = perfect ? FstKnowledge::Perfect : FstKnowledge::Estimates;
     const FstResult f = hybrid_fairshare_fst(result, options);
     for (std::size_t i = 0; i < kJobs; ++i)
-      ASSERT_EQ(f.fair_start[i], full_sort_fst(result.snapshots[i], kSystem, perfect))
+      ASSERT_EQ(f.fair_start[i], full_sort_fst(full_snapshots[i], kSystem, perfect))
           << "snapshot " << i << (perfect ? " (perfect)" : " (estimates)");
+  }
+}
+
+TEST(HybridFst, SnapshotNotEndingWithItsOwnJobThrows) {
+  // The last waiting entry must be the snapshot's own job; anything else is
+  // a snapshot of another contract and is refused, serial and parallel.
+  SnapshotWaiting own;
+  own.id = 0;
+  own.nodes = 1;
+  own.runtime = own.wcl = 10;
+  SnapshotWaiting other = own;
+  other.id = 1;
+  for (const std::vector<SnapshotWaiting>& waiting : {std::vector<SnapshotWaiting>{},
+                                                      std::vector<SnapshotWaiting>{other},
+                                                      std::vector<SnapshotWaiting>{own, other}}) {
+    SimulationResult result;
+    result.system_size = 4;
+    JobRecord record;
+    record.job = make_job(0, 10, 1);
+    record.start = 0;
+    record.finish = 10;
+    result.records.push_back(record);
+    ArrivalSnapshot snapshot;
+    snapshot.id = 0;
+    snapshot.at = 0;
+    snapshot.waiting = waiting;
+    result.snapshots.push_back(snapshot);
+    for (const bool parallel : {false, true}) {
+      FstOptions options;
+      options.parallel = parallel;
+      EXPECT_THROW(hybrid_fairshare_fst(result, options), std::logic_error)
+          << waiting.size() << " entries, parallel " << parallel;
+    }
   }
 }
 

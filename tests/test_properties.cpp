@@ -79,12 +79,11 @@ TEST_P(PolicyProperties, FstNeverBeforeSubmit) {
 TEST_P(PolicyProperties, SnapshotWaitingContainsSelf) {
   const SimulationResult r = run_case(GetParam());
   for (const ArrivalSnapshot& snapshot : r.snapshots) {
-    bool found = false;
     NodeCount running_total = 0;
-    for (const SnapshotWaiting& w : snapshot.waiting)
-      if (w.id == snapshot.id) found = true;
     for (const SnapshotRunning& run : snapshot.running) running_total += run.nodes;
-    EXPECT_TRUE(found) << "snapshot " << snapshot.id;
+    // The arriving job closes its own snapshot's waiting list.
+    ASSERT_FALSE(snapshot.waiting.empty()) << "snapshot " << snapshot.id;
+    EXPECT_EQ(snapshot.waiting.back().id, snapshot.id);
     EXPECT_LE(running_total, r.system_size);
   }
 }

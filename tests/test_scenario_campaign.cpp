@@ -133,6 +133,53 @@ TEST(Campaign, FigureTablesOfTheDecayAblationAreLabelledByDecay) {
   }
 }
 
+TEST(Campaign, HeavyUserFactorGridIsLabelledByFactor) {
+  // The display name omits heavy_user_factor, so a grid over it gives two
+  // cells one name. The figure tables repeat per factor (cons.nomax never
+  // reads the factor, so it sits in both blocks) and the summary gains a
+  // factor column, "-" where the policy does not read it.
+  const std::string base =
+      "[campaign]\nname = factor_grid\nmetrics = percent_unfair, avg_miss_all\n"
+      "[workload]\nsource = ross\nseed = 20021201\nscale = 0.02\n"
+      "[policies]\nnames = cplant24.nomax.fair, cons.nomax\n";
+  const CampaignResult result = run_campaign(parse(base + "[grid]\nheavy_user_factor = 1.5, 4\n"));
+  ASSERT_TRUE(result.reports_complete);
+  ASSERT_EQ(result.cells.size(), 3u);  // cons.nomax's two factors share one cell
+  EXPECT_EQ(result.cells[0].cell.policy.display_name(),
+            result.cells[1].cell.policy.display_name());
+
+  const std::vector<FigureTable> figures = figure_tables(result);
+  const std::vector<std::string> names = {"fairness", "performance", "avg miss by width",
+                                          "avg turnaround by width"};
+  const std::vector<std::string> factors = {"1.5", "4"};
+  ASSERT_EQ(figures.size(), factors.size() * names.size());
+  for (std::size_t f = 0; f < factors.size(); ++f) {
+    for (std::size_t t = 0; t < names.size(); ++t)
+      EXPECT_EQ(figures[f * names.size() + t].title, names[t] + " (factor " + factors[f] + ")");
+    const FigureTable& fairness = figures[f * names.size()];
+    EXPECT_EQ(fairness.table.str(),
+              metrics::fairness_summary_table({result.reports[f], result.reports[2]}).str());
+    ASSERT_EQ(fairness.table.rows(), 2u);
+    EXPECT_EQ(fairness.table.cell(0, 0), "cplant24.nomax.fair");
+    EXPECT_EQ(fairness.table.cell(1, 0), "cons.nomax");
+  }
+
+  const util::TextTable summary = summary_table(result);
+  ASSERT_EQ(summary.columns(), 6u);  // policy, decay, factor, n, two metrics
+  ASSERT_EQ(summary.rows(), 3u);
+  EXPECT_EQ(summary.cell(0, 2), "1.5");
+  EXPECT_EQ(summary.cell(1, 2), "4");
+  EXPECT_EQ(summary.cell(2, 2), "-");
+  EXPECT_EQ(summary.cell(0, 0), summary.cell(1, 0));
+
+  // Without the grid nothing splits and no factor column appears.
+  const CampaignResult plain = run_campaign(parse(base));
+  EXPECT_EQ(summary_table(plain).columns(), 5u);
+  const std::vector<FigureTable> plain_figures = figure_tables(plain);
+  ASSERT_EQ(plain_figures.size(), names.size());
+  EXPECT_EQ(plain_figures[0].title, "fairness");
+}
+
 TEST(Campaign, EveryCommittedSpecRunsAtSmallScale) {
   // The committed specs are the figure and ablation drivers; run each one
   // (synthetic traces turned down to 2% of Ross) so none of them rots.

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "workload/generator.hpp"
 
@@ -177,6 +183,169 @@ TEST(Engine, CustomSchedulerInjection) {
   EXPECT_EQ(r.policy_name, "greedy");
   test::expect_no_overallocation(r);
   test::expect_complete_and_causal(r);
+}
+
+/// Fairshare order of snapshot entries: lower usage, then submit, then id.
+bool fairshare_before(const SnapshotWaiting& a, const SnapshotWaiting& b) {
+  if (a.priority != b.priority) return a.priority < b.priority;
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
+/// Wraps a policy scheduler and, at each arrival, builds the full snapshot
+/// by definition: every waiting job plus the arriving one, each keyed with
+/// its owner's ctx().user_usage. Kept are the jobs ahead of the arriving one
+/// in fairshare order, sorted, then the job itself: what the engine's
+/// recorded prefix must equal. The decorator's own base queue tracks the
+/// waiting set (the inner scheduler's is not visible from here).
+class FullSnapshotRecorder final : public Scheduler {
+ public:
+  FullSnapshotRecorder(std::unique_ptr<Scheduler> inner,
+                       std::vector<std::vector<SnapshotWaiting>>& expected)
+      : inner_(std::move(inner)), expected_(&expected) {}
+
+  std::string name() const override { return inner_->name(); }
+
+  void on_submit(JobId id) override {
+    bind();
+    std::vector<SnapshotWaiting> full;
+    for (const JobId waiting_id : waiting()) full.push_back(entry(waiting_id));
+    const SnapshotWaiting arriving = entry(id);
+    std::erase_if(full, [&](const SnapshotWaiting& w) { return !fairshare_before(w, arriving); });
+    std::sort(full.begin(), full.end(), fairshare_before);
+    full.push_back(arriving);
+    if (expected_->size() <= static_cast<std::size_t>(id))
+      expected_->resize(static_cast<std::size_t>(id) + 1);
+    (*expected_)[static_cast<std::size_t>(id)] = std::move(full);
+    Scheduler::on_submit(id);
+    inner_->on_submit(id);
+  }
+
+  void on_complete(JobId id) override {
+    bind();
+    inner_->on_complete(id);
+  }
+
+  void collect_starts(std::vector<JobId>& starts) override {
+    bind();
+    const std::size_t before = starts.size();
+    inner_->collect_starts(starts);
+    dequeue(std::span<const JobId>(starts).subspan(before));
+  }
+
+  std::optional<Time> next_wakeup() const override {
+    bind();
+    return inner_->next_wakeup();
+  }
+
+ private:
+  /// attach() is not virtual: bind the wrapped scheduler on first use.
+  void bind() const {
+    if (bound_) return;
+    inner_->attach(ctx());
+    bound_ = true;
+  }
+
+  SnapshotWaiting entry(JobId id) const {
+    const Job& job = ctx().job(id);
+    SnapshotWaiting w;
+    w.id = id;
+    w.nodes = job.nodes;
+    w.runtime = job.runtime;
+    w.wcl = job.wcl;
+    w.submit = job.submit;
+    w.priority = ctx().user_usage(job.user);
+    return w;
+  }
+
+  std::unique_ptr<Scheduler> inner_;
+  std::vector<std::vector<SnapshotWaiting>>* expected_;
+  mutable bool bound_ = false;
+};
+
+/// Simulate `policy` under `config` through the recorder and check every
+/// recorded snapshot's waiting list against the full-snapshot definition,
+/// field by field.
+SimulationResult expect_prefix_snapshots(const Workload& w, const EngineConfig& config,
+                                         const std::string& label) {
+  std::vector<std::vector<SnapshotWaiting>> expected;
+  SimulationResult r = simulate_with(
+      w, config, std::make_unique<FullSnapshotRecorder>(make_scheduler(config.policy), expected));
+  EXPECT_EQ(r.snapshots.size(), r.records.size()) << label;
+  EXPECT_EQ(expected.size(), r.records.size()) << label;
+  for (std::size_t i = 0; i < std::min(expected.size(), r.snapshots.size()); ++i) {
+    const std::vector<SnapshotWaiting>& got = r.snapshots[i].waiting;
+    const std::vector<SnapshotWaiting>& want = expected[i];
+    EXPECT_EQ(r.snapshots[i].id, static_cast<JobId>(i)) << label;
+    EXPECT_EQ(got.size(), want.size()) << label << " snapshot " << i;
+    if (got.size() != want.size()) return r;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].id, want[k].id) << label << " snapshot " << i << " entry " << k;
+      EXPECT_EQ(got[k].nodes, want[k].nodes) << label << " snapshot " << i << " entry " << k;
+      EXPECT_EQ(got[k].runtime, want[k].runtime) << label << " snapshot " << i << " entry " << k;
+      EXPECT_EQ(got[k].wcl, want[k].wcl) << label << " snapshot " << i << " entry " << k;
+      EXPECT_EQ(got[k].submit, want[k].submit) << label << " snapshot " << i << " entry " << k;
+      EXPECT_EQ(got[k].priority, want[k].priority)
+          << label << " snapshot " << i << " entry " << k;
+    }
+  }
+  return r;
+}
+
+constexpr WclEnforcement kWclModes[] = {WclEnforcement::Never, WclEnforcement::KillIfNeeded,
+                                        WclEnforcement::Always};
+
+// The recorded prefix equals the full snapshot, filtered and sorted, for the
+// nine paper policies (the *72max ones split every 4th job of the stress
+// workload into segments) under every WCL mode.
+TEST(EngineSnapshots, PrefixMatchesTheFullSnapshotForEveryPaperPolicy) {
+  for (const std::uint64_t seed : {3ull, 19ull}) {
+    const Workload w = test::stress_workload(seed, 200, 48, days(4));
+    for (const PolicyConfig& policy : all_paper_policies()) {
+      for (const WclEnforcement mode : kWclModes) {
+        EngineConfig config;
+        config.policy = policy;
+        config.wcl_enforcement = mode;
+        const SimulationResult r = expect_prefix_snapshots(
+            w, config,
+            policy.display_name() + " mode " + std::to_string(static_cast<int>(mode)) +
+                " seed " + std::to_string(seed));
+        if (policy.max_runtime != kNoTime) {
+          EXPECT_GT(r.records.size(), w.jobs.size()) << policy.display_name();
+        }
+      }
+    }
+  }
+}
+
+// Arrivals and starts on fairshare decay boundaries: the waiting set is
+// re-keyed at whichever comes first after the publish epoch moves.
+TEST(EngineSnapshots, PrefixMatchesTheFullSnapshotOnDecayBoundaries) {
+  std::size_t boundary_arrivals = 0;
+  std::size_t boundary_starts = 0;
+  for (const std::uint64_t seed : {5ull, 23ull}) {
+    const Workload w = test::grid_aligned_workload(seed, 150, 64, hours(1));
+    for (const PolicyConfig& policy : all_paper_policies()) {
+      for (const WclEnforcement mode : kWclModes) {
+        EngineConfig config;
+        config.policy = policy;
+        config.wcl_enforcement = mode;
+        const SimulationResult r = expect_prefix_snapshots(
+            w, config,
+            policy.display_name() + " mode " + std::to_string(static_cast<int>(mode)) +
+                " seed " + std::to_string(seed));
+        for (std::size_t i = 0; i < r.records.size(); ++i) {
+          const JobRecord& record = r.records[i];
+          if (record.job.submit > 0 && record.job.submit % days(1) == 0 &&
+              r.snapshots[i].waiting.size() > 1)
+            ++boundary_arrivals;
+          if (record.start > 0 && record.start % days(1) == 0) ++boundary_starts;
+        }
+      }
+    }
+  }
+  EXPECT_GT(boundary_arrivals, 0u);
+  EXPECT_GT(boundary_starts, 0u);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include "sim/policy_fst.hpp"
 #include "test_helpers.hpp"
-#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::sim {
@@ -46,29 +45,6 @@ Workload with_underestimates(const Workload& workload) {
   Workload out = edit.build();
   out.validate();
   return out;
-}
-
-/// Every submit, runtime and WCL is a multiple of 300 s (as is the one-day
-/// fairshare period), and about half the jobs share their submit second
-/// with the previous one, so completions, WCL checks and decay boundaries
-/// land exactly on arrivals. A fork taken at the next job's arrival hook is
-/// then often mid-instant: that instant's events are consumed and its
-/// scheduling pass is still owed. Every 3rd job underestimates its runtime.
-Workload grid_aligned_workload(std::uint64_t seed, std::size_t jobs = 90,
-                               NodeCount system_size = 64) {
-  constexpr Time kGrid = 300;
-  util::Rng rng(seed);
-  std::vector<Job> out;
-  Time submit = 0;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    if (i > 0 && !rng.flip(0.5)) submit += kGrid * rng.uniform_int(1, 6);
-    const Time runtime = kGrid * rng.uniform_int(1, 36);
-    const Time wcl = i % 3 == 0 ? std::max(kGrid, runtime / (2 * kGrid) * kGrid)
-                                : runtime + kGrid * rng.uniform_int(0, 4);
-    const auto nodes = static_cast<NodeCount>(rng.uniform_int(1, system_size / 2));
-    out.push_back(test::make_job(submit, runtime, nodes, static_cast<UserId>(i % 5), wcl));
-  }
-  return test::make_workload(system_size, std::move(out));
 }
 
 TEST(PolicyFstFork, ByteIdenticalToNaiveForAllNinePolicies) {
@@ -110,7 +86,7 @@ TEST(PolicyFstFork, ByteIdenticalAcrossWclEnforcementModes) {
 TEST(PolicyFstFork, ByteIdenticalToNaiveOnGridAlignedArrivals) {
   const PolicyFstOptions serial{.parallel = false};
   for (const std::uint64_t seed : {5ull, 23ull}) {
-    const Workload w = grid_aligned_workload(seed);
+    const Workload w = test::grid_aligned_workload(seed);
     for (const PolicyConfig& policy : nine_policies_nomax()) {
       for (const WclEnforcement mode :
            {WclEnforcement::Never, WclEnforcement::KillIfNeeded, WclEnforcement::Always}) {
@@ -131,7 +107,7 @@ TEST(PolicyFstFork, ByteIdenticalToNaiveOnGridAlignedArrivals) {
 TEST(PolicyFstFork, StatsCountOneDrainPerJobWaitingAtTheNextArrival) {
   const Workload generated =
       with_underestimates(workload::generate_small_workload(29, 300, 128, days(4)));
-  for (const Workload& w : {generated, grid_aligned_workload(5)}) {
+  for (const Workload& w : {generated, test::grid_aligned_workload(5)}) {
     const std::size_t n = w.jobs.size();
     for (const PolicyKind kind : {PolicyKind::Cplant, PolicyKind::ConservativeDynamic}) {
       EngineConfig config;
@@ -263,7 +239,7 @@ TEST(PolicyFstFork, SingleForkMatchesTruncatedSimulation) {
 // the fork may be mid-instant and job i may already have started. Every
 // fork must still reproduce the truncated run's start of its target.
 TEST(PolicyFstFork, SingleForkAtNextArrivalMatchesTruncatedSimulation) {
-  const Workload w = grid_aligned_workload(41, 60, 48);
+  const Workload w = test::grid_aligned_workload(41, 60, 48);
   for (const PolicyKind kind : {PolicyKind::Cplant, PolicyKind::Conservative}) {
     EngineConfig config;
     config.policy.kind = kind;

@@ -93,13 +93,6 @@ void print_usage() {
 }
 
 /// "3.1e-02 [2.8e-02, 3.4e-02]"-free: plain fixed numbers, mean first.
-std::string ci_cell(const util::BootstrapCi& ci, std::size_t replicates) {
-  std::string out = util::format_number(ci.mean, 4);
-  if (replicates > 1)
-    out += " [" + util::format_number(ci.lo, 4) + ", " + util::format_number(ci.hi, 4) + "]";
-  return out;
-}
-
 double parse_seconds(const std::string& arg, const char* text) {
   try {
     const double value = std::stod(text);
@@ -236,17 +229,7 @@ int main(int argc, char** argv) {
                 << (csv ? figure.table.csv() : figure.table.str());
   }
 
-  std::vector<std::string> header = {"policy", "decay", "n"};
-  for (const std::string& metric : spec.metrics) header.push_back(metric);
-  util::TextTable aggregates(header);
-  for (const scenario::AggregateResult& aggregate : result.aggregates) {
-    aggregates.begin_row()
-        .add(aggregate.policy)
-        .add(aggregate.decay, 3)
-        .add_int(static_cast<long long>(aggregate.replicates));
-    for (const util::BootstrapCi& ci : aggregate.metrics)
-      aggregates.add(ci_cell(ci, aggregate.replicates));
-  }
+  const util::TextTable aggregates = scenario::summary_table(result);
   std::cout << "\n== campaign summary (mean";
   if (plan.seeds.size() > 1)
     std::cout << " [" << util::format_number(spec.bootstrap_confidence * 100.0, 0)
