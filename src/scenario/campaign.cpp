@@ -79,6 +79,15 @@ void add_unique(std::vector<double>& values, double value) {
   if (std::find(values.begin(), values.end(), value) == values.end()) values.push_back(value);
 }
 
+/// A "factor" column cell: the heavy-user factor, "-" for a policy that
+/// never reads it.
+void add_factor_cell(util::TextTable& table, const std::optional<double>& factor) {
+  if (factor)
+    table.add(*factor, 3);
+  else
+    table.add("-");
+}
+
 std::string ci_cell(const util::BootstrapCi& ci, std::size_t replicates) {
   std::string out = util::format_number(ci.mean, 4);
   if (replicates > 1)
@@ -540,15 +549,32 @@ util::TextTable summary_table(const CampaignResult& result) {
   util::TextTable table(header);
   for (const AggregateResult& aggregate : result.aggregates) {
     table.begin_row().add(aggregate.policy).add(aggregate.decay, 3);
-    if (factor_column) {
-      if (aggregate.heavy_user_factor)
-        table.add(*aggregate.heavy_user_factor, 3);
-      else
-        table.add("-");
-    }
+    if (factor_column) add_factor_cell(table, aggregate.heavy_user_factor);
     table.add_int(static_cast<long long>(aggregate.replicates));
     for (const util::BootstrapCi& ci : aggregate.metrics)
       table.add(ci_cell(ci, aggregate.replicates));
+  }
+  return table;
+}
+
+util::TextTable plan_table(const CampaignPlan& plan) {
+  std::vector<double> factors;
+  for (const CampaignCell& cell : plan.cells)
+    if (const std::optional<double> factor = heavy_user_factor_of(cell.policy))
+      add_unique(factors, *factor);
+  const bool factor_column = factors.size() > 1;
+
+  std::vector<std::string> header = {"cell", "seed", "decay"};
+  if (factor_column) header.push_back("factor");
+  header.push_back("policy");
+  util::TextTable table(header);
+  for (const CampaignCell& cell : plan.cells) {
+    table.begin_row()
+        .add_int(static_cast<long long>(cell.index))
+        .add_int(static_cast<long long>(cell.seed))
+        .add(cell.decay, 3);
+    if (factor_column) add_factor_cell(table, heavy_user_factor_of(cell.policy));
+    table.add(cell.policy.display_name());
   }
   return table;
 }

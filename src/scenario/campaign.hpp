@@ -199,6 +199,11 @@ std::vector<FigureTable> figure_tables(const CampaignResult& result);
 /// that never reads it), since the display name omits the factor.
 util::TextTable summary_table(const CampaignResult& result);
 
+/// The expanded cell plan (psched_campaign --dry-run): one row per cell with
+/// its index, seed, decay and policy. A "factor" column follows "decay" when
+/// the cells span more than one heavy-user factor, as in summary_table.
+util::TextTable plan_table(const CampaignPlan& plan);
+
 /// Results store: one CSV row per cell
 /// ("index,seed,decay,wcl_enforcement,policy,status,<metric>.."; non-Ok rows
 /// leave the metric fields empty) and a JSON summary of the aggregates plus

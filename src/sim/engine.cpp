@@ -86,7 +86,10 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
       seeded_end_(std::min<JobId>(other.seeded_end_, target + 1)),
       running_state_(other.running_state_),
       running_view_(other.running_view_),
-      waiting_(other.waiting_),
+      fairshare_order_(other.fairshare_order_),
+      fairshare_order_epoch_(other.fairshare_order_epoch_),
+      // Forked at target + 1's hook, the target may have started already.
+      fork_target_start_(other.record_start(target)),
       waiting_demand_(other.waiting_demand_),
       running_nodes_(other.running_nodes_) {
   if (!scheduler_)
@@ -98,15 +101,6 @@ SimulationEngine::SimulationEngine(const SimulationEngine& other, JobId target)
   // seeded-arrival cursor at target + 1 above, a constant-time operation
   // where trimming a record table used to cost O(target). The copied event
   // heap holds only completions / WCL checks / timers: O(queue).
-  //
-  // Start times and waiting positions go to sparse overlays instead of the
-  // master's dense per-record vectors; only the jobs currently in the queue
-  // can ever be touched, so the overlays stay O(queue) too.
-  fork_waiting_pos_.reserve(waiting_.size());
-  for (std::size_t pos = 0; pos < waiting_.size(); ++pos)
-    fork_waiting_pos_[waiting_[pos]] = static_cast<std::int32_t>(pos);
-  if (const Time start = other.record_start(target); start != kNoTime)
-    fork_starts_[target] = start;  // forked at target + 1's hook, already started
 }
 
 std::unique_ptr<SimulationEngine> SimulationEngine::fork_for_arrival(JobId target) const {
@@ -140,39 +134,17 @@ const Job& SimulationEngine::job(JobId id) const {
 }
 
 Time SimulationEngine::record_start(JobId id) const {
-  if (is_fork()) {
-    const auto it = fork_starts_.find(id);
-    return it == fork_starts_.end() ? kNoTime : it->second;
-  }
-  return result_.records.at(static_cast<std::size_t>(id)).start;
+  if (!is_fork()) return result_.records.at(static_cast<std::size_t>(id)).start;
+  if (id != arrival_limit_)
+    throw std::logic_error("engine: a fork records only its target's start");
+  return fork_target_start_;
 }
 
 void SimulationEngine::set_record_start(JobId id, Time at) {
-  if (is_fork()) {
-    fork_starts_[id] = at;
-    return;
-  }
-  result_.records[static_cast<std::size_t>(id)].start = at;
-}
-
-std::int32_t SimulationEngine::waiting_pos_of(JobId id) const {
-  if (is_fork()) {
-    const auto it = fork_waiting_pos_.find(id);
-    return it == fork_waiting_pos_.end() ? -1 : it->second;
-  }
-  const auto idx = static_cast<std::size_t>(id);
-  return idx < waiting_pos_.size() ? waiting_pos_[idx] : -1;
-}
-
-void SimulationEngine::set_waiting_pos(JobId id, std::int32_t pos) {
-  if (is_fork()) {
-    if (pos < 0)
-      fork_waiting_pos_.erase(id);
-    else
-      fork_waiting_pos_[id] = pos;
-    return;
-  }
-  waiting_pos_[static_cast<std::size_t>(id)] = pos;
+  if (!is_fork())
+    result_.records[static_cast<std::size_t>(id)].start = at;
+  else if (id == arrival_limit_)
+    fork_target_start_ = at;
 }
 
 void SimulationEngine::advance_accounting(Time to) {
@@ -188,21 +160,20 @@ void SimulationEngine::advance_accounting(Time to) {
   now_ = to;
 }
 
-std::size_t SimulationEngine::record_snapshot(JobId id) {
-  refresh_fairshare_order();
+SnapshotWaiting SimulationEngine::waiting_entry(JobId id) const {
   const Job& j = job(id);
-  SnapshotWaiting arriving;
-  arriving.id = id;
-  arriving.nodes = j.nodes;
-  arriving.runtime = j.runtime;
-  arriving.wcl = j.wcl;
-  arriving.submit = j.submit;
-  arriving.priority = fairshare_.usage(j.user);
-  const auto slot = fairshare_order_.insert(
-      std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(), arriving,
-                       fairshare_ahead),
-      arriving);
+  SnapshotWaiting entry;
+  entry.id = id;
+  entry.nodes = j.nodes;
+  entry.runtime = j.runtime;
+  entry.wcl = j.wcl;
+  entry.submit = j.submit;
+  entry.priority = fairshare_.usage(j.user);
+  return entry;
+}
 
+std::size_t SimulationEngine::record_snapshot(
+    JobId id, std::vector<SnapshotWaiting>::const_iterator slot) {
   ArrivalSnapshot snapshot;
   snapshot.id = id;
   snapshot.at = now_;
@@ -216,7 +187,7 @@ std::size_t SimulationEngine::record_snapshot(JobId id) {
   }
   // Everything ahead of the arriving job, then the job: all the hybrid FST
   // list-schedules, since its schedule ends where the job is placed.
-  snapshot.waiting.assign(fairshare_order_.begin(), slot + 1);
+  snapshot.waiting.assign(fairshare_order_.cbegin(), slot + 1);
   const std::size_t entries = snapshot.waiting.size();
   result_.snapshots.at(static_cast<std::size_t>(id)) = std::move(snapshot);
   return entries;
@@ -232,36 +203,23 @@ void SimulationEngine::refresh_fairshare_order() {
 
 void SimulationEngine::fairshare_order_erase(JobId id) {
   refresh_fairshare_order();
-  const Job& j = job(id);
-  SnapshotWaiting key;
-  key.id = id;
-  key.submit = j.submit;
-  key.priority = fairshare_.usage(j.user);
-  const auto it =
-      std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(), key, fairshare_ahead);
+  const auto it = std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(),
+                                   waiting_entry(id), fairshare_ahead);
   if (it == fairshare_order_.end() || it->id != id)
-    throw std::logic_error("engine: waiting job " + std::to_string(id) +
-                           " missing from the fairshare order");
+    throw std::logic_error("engine: started job " + std::to_string(id) +
+                           ", which is not waiting");
   fairshare_order_.erase(it);
 }
 
-void SimulationEngine::remove_waiting(JobId id) {
-  const std::int32_t pos_index = waiting_pos_of(id);
-  if (pos_index < 0)
-    throw std::logic_error("engine: started a job that is not waiting");
-  const auto pos = static_cast<std::size_t>(pos_index);
-  const JobId moved = waiting_.back();
-  waiting_[pos] = moved;
-  set_waiting_pos(moved, static_cast<std::int32_t>(pos));
-  waiting_.pop_back();
-  set_waiting_pos(id, -1);
-}
-
 std::size_t SimulationEngine::deliver_arrival(JobId id) {
-  set_waiting_pos(id, static_cast<std::int32_t>(waiting_.size()));
-  waiting_.push_back(id);
-  waiting_demand_ += job(id).nodes;
-  const std::size_t entries = config_.record_snapshots ? record_snapshot(id) : 0;
+  refresh_fairshare_order();
+  const SnapshotWaiting arriving = waiting_entry(id);
+  const auto slot = fairshare_order_.insert(
+      std::lower_bound(fairshare_order_.begin(), fairshare_order_.end(), arriving,
+                       fairshare_ahead),
+      arriving);
+  waiting_demand_ += arriving.nodes;
+  const std::size_t entries = config_.record_snapshots ? record_snapshot(id, slot) : 0;
   scheduler_->on_submit(id);
   return entries;
 }
@@ -271,8 +229,7 @@ void SimulationEngine::start_job(JobId id) {
   if (j.nodes > free_nodes_)
     throw std::logic_error("engine: scheduler started " + std::to_string(j.nodes) +
                            " nodes with only " + std::to_string(free_nodes_) + " free");
-  remove_waiting(id);
-  if (config_.record_snapshots) fairshare_order_erase(id);
+  fairshare_order_erase(id);
   waiting_demand_ -= j.nodes;
   free_nodes_ -= j.nodes;
   running_nodes_ += j.nodes;
@@ -334,9 +291,9 @@ void SimulationEngine::handle_wcl_check(JobId id) {
   // CPlant semantics: the over-running job dies only if some waiting job
   // could start with the freed processors.
   const NodeCount would_be_free = free_nodes_ + j.nodes;
-  const bool needed = std::any_of(waiting_.begin(), waiting_.end(), [&](JobId w) {
-    return job(w).nodes <= would_be_free;
-  });
+  const bool needed =
+      std::any_of(fairshare_order_.begin(), fairshare_order_.end(),
+                  [&](const SnapshotWaiting& w) { return w.nodes <= would_be_free; });
   if (needed)
     deliver_completion(id, now_, /*killed=*/true);
   else
@@ -378,13 +335,11 @@ void SimulationEngine::consume_event(const PendingEvent& pending) {
 }
 
 std::size_t SimulationEngine::fork_footprint_bytes() const {
-  constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);  // hash-bucket / tree links
+  constexpr std::size_t kNodeOverhead = 2 * sizeof(void*);  // tree links
   return events_.capacity() * sizeof(Event) +
-         waiting_.capacity() * sizeof(JobId) +
+         fairshare_order_.capacity() * sizeof(SnapshotWaiting) +
          running_state_.capacity() * sizeof(RunningState) +
          running_view_.capacity() * sizeof(RunningView) +
-         fork_starts_.size() * (sizeof(JobId) + sizeof(Time) + kNodeOverhead) +
-         fork_waiting_pos_.size() * (sizeof(JobId) + sizeof(std::int32_t) + kNodeOverhead) +
          pending_timers_.size() * (sizeof(Time) + 2 * kNodeOverhead);
 }
 
@@ -460,7 +415,8 @@ void SimulationEngine::run_loop(const ArrivalHook* hook, JobId run_until) {
 
     if (run_until != kInvalidJob && record_start(run_until) != kNoTime) return;
 
-    if (const std::optional<Time> wake = scheduler_->next_wakeup(); wake && !waiting_.empty())
+    if (const std::optional<Time> wake = scheduler_->next_wakeup();
+        wake && !fairshare_order_.empty())
       schedule_timer(*wake);
     pending = peek_event();
   }
@@ -473,14 +429,13 @@ SimulationResult SimulationEngine::run_with_arrival_hook(const ArrivalHook& hook
   ran_ = true;
   // The record table is complete from construction on, so per-record state
   // is sized once here.
-  waiting_pos_.assign(result_.records.size(), -1);
   if (config_.record_snapshots) result_.snapshots.resize(result_.records.size());
 
   run_loop(hook ? &hook : nullptr, kInvalidJob);
 
-  if (!waiting_.empty())
-    throw std::logic_error("engine: simulation ended with " + std::to_string(waiting_.size()) +
-                           " jobs still waiting");
+  if (!fairshare_order_.empty())
+    throw std::logic_error("engine: simulation ended with " +
+                           std::to_string(fairshare_order_.size()) + " jobs still waiting");
   if (!running_state_.empty())
     throw std::logic_error("engine: simulation ended with jobs still running");
 

@@ -9,11 +9,12 @@
 // trace preprocessing: an original job longer than the limit becomes
 // several segments, all submitted at the original's submit time.
 //
-// Arrival snapshots (record_snapshots) hold what the hybrid FST reads and no
-// more: the jobs ahead of the arriving job in fairshare order (published
-// usage, submit, id), then the job itself. The engine keeps its waiting set
-// in that order for them, re-keyed only when the fairshare publish epoch
-// moves, so recording a snapshot copies a prefix and sorts nothing.
+// The engine keeps one waiting set, in fairshare order (published usage,
+// submit, id), re-keyed only when the fairshare publish epoch moves. Masters
+// and forks keep it alike. Arrival snapshots (record_snapshots) hold what the
+// hybrid FST reads and no more: the jobs ahead of the arriving job in that
+// order, then the job itself, so recording a snapshot copies a prefix of the
+// set and sorts nothing.
 //
 // Arrival events are NOT pre-seeded into the event heap: the seeded records
 // are already sorted by (submit, record id) — exactly the heap's ordering —
@@ -27,7 +28,6 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fairshare.hpp"
@@ -78,7 +78,8 @@ struct EngineConfig {
   double fairshare_decay = 0.9;
   WclEnforcement wcl_enforcement = WclEnforcement::Never;
   /// Record an ArrivalSnapshot per arrival (the hybrid FST's input; see
-  /// ArrivalSnapshot for what its waiting list holds).
+  /// ArrivalSnapshot for what its waiting list holds). It only decides
+  /// whether an arrival copies one: the schedule is the same either way.
   bool record_snapshots = true;
   /// Cooperative cancellation: polled at every event boundary of the run
   /// loop (and therefore inside every fork drain — forks copy the config).
@@ -128,7 +129,7 @@ class SimulationEngine final : public SchedulerContext {
   /// fairshare tracker, waiting/running sets and the scheduler (via
   /// Scheduler::clone()) are all copied — every one of them O(queue depth).
   /// The job table is the parent's immutable shared Workload (a view bump,
-  /// not a copy), start times land in a sparse per-fork overlay, and the
+  /// not a copy), the only start time a fork keeps is `target`'s, and the
   /// seeded-arrival cursor is simply capped at `target`, so fork cost is
   /// independent of the arrival index. Only valid from inside an arrival
   /// hook, at the hook invocation for `target` or `target + 1`; requires no
@@ -144,13 +145,13 @@ class SimulationEngine final : public SchedulerContext {
   /// Mid-run observer: the start time recorded for `id` so far (kNoTime if
   /// it has not started yet). At the hook of arrival id+1 a recorded start
   /// is id's start in the truncated universe, so the policy FST forks only
-  /// the jobs still waiting there.
+  /// the jobs still waiting there. A fork answers only for its target.
   Time recorded_start(JobId id) const { return record_start(id); }
 
   /// Approximate bytes of fork-owned heap state (event heap, waiting/running
-  /// sets, sparse start/waiting overlays, timers). Excludes the shared job
-  /// table — that is the point of the shared-workload design — and the
-  /// scheduler clone's internals. Used to report peak drain-batch footprint.
+  /// sets, timers). Excludes the shared job table — that is the point of the
+  /// shared-workload design — and the scheduler clone's internals. Used to
+  /// report peak drain-batch footprint.
   std::size_t fork_footprint_bytes() const;
 
   // --- SchedulerContext ------------------------------------------------------
@@ -198,30 +199,28 @@ class SimulationEngine final : public SchedulerContext {
   /// snapshots are off).
   std::size_t deliver_arrival(JobId id);
   void deliver_completion(JobId id, Time finish, bool killed);
-  /// Insert `id` into fairshare_order_ and record its snapshot: the order's
-  /// prefix up to and including `id`. Returns that prefix's length.
-  std::size_t record_snapshot(JobId id);
+  /// Record `id`'s arrival snapshot: fairshare_order_'s prefix up to and
+  /// including `slot`, the entry `id` was just inserted at. Returns that
+  /// prefix's length.
+  std::size_t record_snapshot(JobId id, std::vector<SnapshotWaiting>::const_iterator slot);
+  /// The waiting-set entry of `id`, keyed with its owner's usage now.
+  SnapshotWaiting waiting_entry(JobId id) const;
   /// Re-key fairshare_order_ to the current published usage and re-sort it,
   /// if the fairshare epoch moved since it was last keyed.
   void refresh_fairshare_order();
-  /// Remove `id` from fairshare_order_, found by binary search.
+  /// Remove `id` from fairshare_order_, found by binary search. Throws
+  /// std::logic_error if `id` is not waiting.
   void fairshare_order_erase(JobId id);
   void start_job(JobId id);
   void handle_wcl_check(JobId id);
   void schedule_timer(Time at);
-  /// O(1) removal from the waiting set (swap-pop via the position index).
-  /// The waiting set is unordered; the fairshare order snapshots need lives
-  /// in fairshare_order_.
-  void remove_waiting(JobId id);
 
-  // Start times and the waiting-position index live in the dense record
-  // table on a master engine, and in sparse per-fork overlays on a fork —
-  // a fork may only ever touch O(queue) of either, and the dense tables
-  // are what made fork cost O(arrival index).
+  // Start times live in the dense record table on a master engine. A fork
+  // has no record table (copying it is what made fork cost O(arrival
+  // index)) and keeps only its target's start, in fork_target_start_; it
+  // answers for no other id.
   Time record_start(JobId id) const;
   void set_record_start(JobId id, Time at);
-  std::int32_t waiting_pos_of(JobId id) const;
-  void set_waiting_pos(JobId id, std::int32_t pos);
 
   /// The shared event loop. It first finishes an instant that still owes
   /// its pass (a fork taken mid-instant); `hook` (may be null) fires before
@@ -265,18 +264,15 @@ class SimulationEngine final : public SchedulerContext {
   SimulationResult result_;
   std::vector<RunningState> running_state_;   // parallel to running_view_
   std::vector<RunningView> running_view_;
-  std::vector<JobId> waiting_;                // record ids not yet started (unordered)
-  std::vector<std::int32_t> waiting_pos_;     // master: record id -> index in waiting_ (-1 = absent)
-  /// Snapshot recording only (empty otherwise, and on every fork): the
-  /// waiting set as snapshot entries in fairshare order, each keyed with its
-  /// owner's published usage as of fairshare_order_epoch_. Arrivals insert
-  /// and starts erase by binary search; the whole vector is re-keyed and
-  /// re-sorted only after the publish epoch moved.
+  /// The waiting set: record ids not yet started, as snapshot entries in
+  /// fairshare order, each keyed with its owner's published usage as of
+  /// fairshare_order_epoch_. Arrivals insert and starts erase by binary
+  /// search; the whole vector is re-keyed and re-sorted only after the
+  /// publish epoch moved.
   std::vector<SnapshotWaiting> fairshare_order_;
   std::uint64_t fairshare_order_epoch_ = 0;
-  // Fork overlays (lookups only, never iterated — determinism-safe).
-  std::unordered_map<JobId, Time> fork_starts_;
-  std::unordered_map<JobId, std::int32_t> fork_waiting_pos_;
+  /// Forks only: arrival_limit_'s start time (kNoTime until it starts).
+  Time fork_target_start_ = kNoTime;
   NodeCount waiting_demand_ = 0;              // sum of waiting nodes
   NodeCount running_nodes_ = 0;
 };

@@ -136,13 +136,15 @@ TEST(Campaign, FigureTablesOfTheDecayAblationAreLabelledByDecay) {
 TEST(Campaign, HeavyUserFactorGridIsLabelledByFactor) {
   // The display name omits heavy_user_factor, so a grid over it gives two
   // cells one name. The figure tables repeat per factor (cons.nomax never
-  // reads the factor, so it sits in both blocks) and the summary gains a
-  // factor column, "-" where the policy does not read it.
+  // reads the factor, so it sits in both blocks) and the summary and the
+  // --dry-run plan gain a factor column, "-" where the policy does not read
+  // it.
   const std::string base =
       "[campaign]\nname = factor_grid\nmetrics = percent_unfair, avg_miss_all\n"
       "[workload]\nsource = ross\nseed = 20021201\nscale = 0.02\n"
       "[policies]\nnames = cplant24.nomax.fair, cons.nomax\n";
-  const CampaignResult result = run_campaign(parse(base + "[grid]\nheavy_user_factor = 1.5, 4\n"));
+  const std::string grid = base + "[grid]\nheavy_user_factor = 1.5, 4\n";
+  const CampaignResult result = run_campaign(parse(grid));
   ASSERT_TRUE(result.reports_complete);
   ASSERT_EQ(result.cells.size(), 3u);  // cons.nomax's two factors share one cell
   EXPECT_EQ(result.cells[0].cell.policy.display_name(),
@@ -172,9 +174,20 @@ TEST(Campaign, HeavyUserFactorGridIsLabelledByFactor) {
   EXPECT_EQ(summary.cell(2, 2), "-");
   EXPECT_EQ(summary.cell(0, 0), summary.cell(1, 0));
 
+  const util::TextTable plan = plan_table(expand_campaign(parse(grid)));
+  ASSERT_EQ(plan.columns(), 5u);  // cell, seed, decay, factor, policy
+  ASSERT_EQ(plan.rows(), 3u);
+  const std::vector<std::string> plan_factors = {"1.5", "4", "-"};
+  for (std::size_t row = 0; row < plan.rows(); ++row) {
+    EXPECT_EQ(plan.cell(row, 0), std::to_string(row));
+    EXPECT_EQ(plan.cell(row, 3), plan_factors[row]);
+    EXPECT_EQ(plan.cell(row, 4), result.cells[row].cell.policy.display_name());
+  }
+
   // Without the grid nothing splits and no factor column appears.
   const CampaignResult plain = run_campaign(parse(base));
   EXPECT_EQ(summary_table(plain).columns(), 5u);
+  EXPECT_EQ(plan_table(expand_campaign(parse(base))).columns(), 4u);
   const std::vector<FigureTable> plain_figures = figure_tables(plain);
   ASSERT_EQ(plain_figures.size(), names.size());
   EXPECT_EQ(plain_figures[0].title, "fairness");

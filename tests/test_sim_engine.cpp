@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,95 @@ TEST(Engine, CustomSchedulerInjection) {
   test::expect_complete_and_causal(r);
 }
 
+/// Starts every waiting job at once; the pass that starts `trigger` also
+/// asks the engine to start `bogus`, a job that is not waiting. Clones
+/// carry `fork_bogus` instead, so with kInvalidJob as `bogus` only a fork
+/// taken mid-run makes the bad start.
+class StartsNonWaitingJob final : public Scheduler {
+ public:
+  StartsNonWaitingJob(JobId trigger, JobId bogus, JobId fork_bogus)
+      : trigger_(trigger), bogus_(bogus), fork_bogus_(fork_bogus) {}
+
+  std::string name() const override { return "starts-non-waiting"; }
+
+  void collect_starts(std::vector<JobId>& starts) override {
+    const bool fire = std::find(waiting().begin(), waiting().end(), trigger_) != waiting().end();
+    starts.insert(starts.end(), waiting().begin(), waiting().end());
+    dequeue(starts);
+    if (fire && bogus_ != kInvalidJob) starts.push_back(bogus_);
+  }
+
+  std::unique_ptr<Scheduler> clone() const override {
+    StartsNonWaitingJob forked = *this;
+    forked.bogus_ = fork_bogus_;
+    return cloned(forked);
+  }
+
+ private:
+  JobId trigger_;
+  JobId bogus_;
+  JobId fork_bogus_;
+};
+
+/// Four one-node jobs 100 s apart on 8 nodes: each starts on arrival and
+/// all four overlap, so a bad start never fails the free-node check first.
+Workload four_overlapping_jobs() {
+  std::vector<Job> jobs;
+  for (Time submit = 0; submit < 400; submit += 100) jobs.push_back(make_job(submit, 1000, 1));
+  return make_workload(8, std::move(jobs));
+}
+
+/// `run` must throw the engine's std::logic_error for a start of a job that
+/// is not waiting.
+template <typename Run>
+void expect_not_waiting_error(Run run, const std::string& label) {
+  try {
+    run();
+    ADD_FAILURE() << label << ": no exception";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("which is not waiting"), std::string::npos)
+        << label << ": " << error.what();
+  }
+}
+
+/// Simulate four_overlapping_jobs() with the pass that starts `trigger`
+/// also starting `bogus`, snapshots on and off: both must throw.
+void expect_master_start_throws(JobId trigger, JobId bogus) {
+  for (const bool snapshots : {true, false}) {
+    EngineConfig config;
+    config.record_snapshots = snapshots;
+    expect_not_waiting_error(
+        [&] {
+          simulate_with(four_overlapping_jobs(), config,
+                        std::make_unique<StartsNonWaitingJob>(trigger, bogus, kInvalidJob));
+        },
+        "bogus " + std::to_string(bogus) + " snapshots " + std::to_string(snapshots));
+  }
+}
+
+// Job 0 starts at its arrival; the pass at job 1's arrival starts it again.
+TEST(EngineStartChecks, StartingAStartedJobThrows) { expect_master_start_throws(1, 0); }
+
+// The pass at job 0's arrival also starts job 2, which arrives at 200 s.
+TEST(EngineStartChecks, StartingAJobNotYetArrivedThrows) { expect_master_start_throws(0, 2); }
+
+// A fork keeps its own waiting set: forked at job 2's hook, its first pass
+// starts job 2 and then job 0 (started at 0 s), or job 3, which never
+// arrives in the fork's universe.
+TEST(EngineStartChecks, ForkStartingANonWaitingJobThrows) {
+  for (const JobId bogus : {JobId{0}, JobId{3}}) {
+    SimulationEngine master(four_overlapping_jobs(), EngineConfig{},
+                            std::make_unique<StartsNonWaitingJob>(2, kInvalidJob, bogus));
+    expect_not_waiting_error(
+        [&] {
+          master.run_with_arrival_hook([&](JobId id) {
+            if (id == 2) master.fork_for_arrival(id)->run_until_started(id);
+          });
+        },
+        "bogus " + std::to_string(bogus));
+  }
+}
+
 /// Fairshare order of snapshot entries: lower usage, then submit, then id.
 bool fairshare_before(const SnapshotWaiting& a, const SnapshotWaiting& b) {
   if (a.priority != b.priority) return a.priority < b.priority;
@@ -297,7 +387,8 @@ constexpr WclEnforcement kWclModes[] = {WclEnforcement::Never, WclEnforcement::K
 
 // The recorded prefix equals the full snapshot, filtered and sorted, for the
 // nine paper policies (the *72max ones split every 4th job of the stress
-// workload into segments) under every WCL mode.
+// workload into segments) under every WCL mode; and the same run without
+// snapshots schedules every record the same.
 TEST(EngineSnapshots, PrefixMatchesTheFullSnapshotForEveryPaperPolicy) {
   for (const std::uint64_t seed : {3ull, 19ull}) {
     const Workload w = test::stress_workload(seed, 200, 48, days(4));
@@ -306,12 +397,24 @@ TEST(EngineSnapshots, PrefixMatchesTheFullSnapshotForEveryPaperPolicy) {
         EngineConfig config;
         config.policy = policy;
         config.wcl_enforcement = mode;
-        const SimulationResult r = expect_prefix_snapshots(
-            w, config,
-            policy.display_name() + " mode " + std::to_string(static_cast<int>(mode)) +
-                " seed " + std::to_string(seed));
+        const std::string label = policy.display_name() + " mode " +
+                                  std::to_string(static_cast<int>(mode)) + " seed " +
+                                  std::to_string(seed);
+        const SimulationResult r = expect_prefix_snapshots(w, config, label);
         if (policy.max_runtime != kNoTime) {
           EXPECT_GT(r.records.size(), w.jobs.size()) << policy.display_name();
+        }
+        // The flag only decides whether snapshots are copied: the schedule
+        // without them is the same, record by record.
+        config.record_snapshots = false;
+        const SimulationResult off = simulate(w, config);
+        EXPECT_TRUE(off.snapshots.empty()) << label;
+        ASSERT_EQ(off.records.size(), r.records.size()) << label;
+        for (std::size_t i = 0; i < r.records.size(); ++i) {
+          EXPECT_EQ(off.records[i].start, r.records[i].start) << label << " record " << i;
+          EXPECT_EQ(off.records[i].finish, r.records[i].finish) << label << " record " << i;
+          EXPECT_EQ(off.records[i].killed_at_wcl, r.records[i].killed_at_wcl)
+              << label << " record " << i;
         }
       }
     }

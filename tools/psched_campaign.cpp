@@ -174,13 +174,7 @@ int main(int argc, char** argv) {
             << (plan.seeds.size() == 1 ? "" : "s") << ", " << spec.metrics.size()
             << " metrics\n";
   if (dry_run) {
-    util::TextTable table({"cell", "seed", "decay", "policy"});
-    for (const scenario::CampaignCell& cell : plan.cells)
-      table.begin_row()
-          .add_int(static_cast<long long>(cell.index))
-          .add_int(static_cast<long long>(cell.seed))
-          .add(cell.decay, 3)
-          .add(cell.policy.display_name());
+    const util::TextTable table = scenario::plan_table(plan);
     std::cout << (csv ? table.csv() : table.str());
     return 0;
   }
